@@ -35,7 +35,6 @@ from .functional import (
     extremal_certificate,
     key_average_circle,
     key_average_cyclic,
-    key_quadrature_bound,
     measure_norm,
     normalize_vertex_function,
     quotient_infimum_search,

@@ -35,7 +35,7 @@ def _budget() -> int:
 
 
 def _load_graph(path: str) -> MagneticGraph:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return graph_from_json(fh.read())
 
 
@@ -267,8 +267,6 @@ def cmd_verify(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="magneto")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (current implementation is serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("frustration", help="frustration index of a vertex subset")

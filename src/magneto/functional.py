@@ -18,7 +18,6 @@ from .graph import MagneticGraph
 from .groups import CIRCLE, CYCLIC, TWO_PI
 from .isoperimetry import cheeger_constant, isoperimetric_constant
 
-DEFAULT_N_THETA = 4096
 _SAT_TOL = 1e-9
 _DISK_TOL = 1e-12
 
@@ -50,41 +49,32 @@ def radial_function(z: complex, t: float) -> complex:
     return z / abs(z)
 
 
-def key_average_cyclic_batch(z1, z2, k: int, n_theta: int = DEFAULT_N_THETA) -> np.ndarray:
-    """Vectorized theta-average of the sector-function discrepancy.
+def key_average_cyclic_batch(z1, z2, k: int) -> np.ndarray:
+    """Exact (t, theta)-average of the sector-function discrepancy, vectorized.
 
-    The inner t-integral is exact (the integrand is piecewise constant in t
-    with breakpoints |z2| <= |z1|); the outer integral uses the midpoint rule,
-    whose error is at most ``key_quadrature_bound(k, n_theta)`` because the
-    integrand is piecewise constant in theta with at most 2k jumps.
+    With r1 >= r2, x = ((arg z1 - arg z2) mod 2pi) k / 2pi, m = floor(x) and
+    phi = x - m, the two sector indices differ by m for a fraction 1 - phi of
+    all theta and by m + 1 for the rest, so the average is
+    r2 [(1 - phi) d(m) + phi d(m + 1)] + (r1 - r2) with d(j) = 2 sin(pi j / k).
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
-    r1, r2 = np.abs(z1), np.abs(z2)
-    swap = r2 > r1
+    swap = np.abs(z2) > np.abs(z1)
     z1, z2 = np.where(swap, z2, z1), np.where(swap, z1, z2)
     r1, r2 = np.abs(z1), np.abs(z2)
-    a1, a2 = np.angle(z1), np.angle(z2)
-    thetas = (np.arange(n_theta) + 0.5) * TWO_PI / n_theta
+    x = ((np.angle(z1) - np.angle(z2)) % TWO_PI) * k / TWO_PI
+    m = np.floor(x)
+    phi = x - m
+    m = m.astype(np.int64) % k
     dist = 2.0 * np.sin(np.pi * np.arange(k) / k)
-    j1 = np.floor(((a1[:, None] - thetas[None, :]) % TWO_PI) * k / TWO_PI).astype(np.int64) % k
-    j2 = np.floor(((a2[:, None] - thetas[None, :]) % TWO_PI) * k / TWO_PI).astype(np.int64) % k
-    inner = dist[(j1 - j2) % k] * r2[:, None] + (r1 - r2)[:, None]
-    out = inner.mean(axis=1)
-    # z2 = 0 collapses to the exact radial case
-    return np.where(r2 == 0.0, r1, out)
+    return r2 * ((1.0 - phi) * dist[m] + phi * dist[(m + 1) % k]) + (r1 - r2)
 
 
-def key_average_cyclic(z1: complex, z2: complex, k: int, n_theta: int = DEFAULT_N_THETA) -> float:
+def key_average_cyclic(z1: complex, z2: complex, k: int) -> float:
     """(1/2pi) int int |Y_{t,theta}(z1) - Y_{t,theta}(z2)| dt dtheta, <= 3|z1-z2|."""
     if abs(z1) > 1.0 + _DISK_TOL or abs(z2) > 1.0 + _DISK_TOL:
         raise MagnetoError("OUT_OF_DISK", "points must lie in the closed unit disk")
-    return float(key_average_cyclic_batch([z1], [z2], k, n_theta)[0])
-
-
-def key_quadrature_bound(k: int, n_theta: int) -> float:
-    """Midpoint-rule error bound: <= 2k jump panels, each off by at most 2/n_theta."""
-    return 4.0 * k / n_theta
+    return float(key_average_cyclic_batch([z1], [z2], k)[0])
 
 
 def key_average_circle(z1: complex, z2: complex) -> float:

@@ -322,6 +322,8 @@ def build_graph(n: int, edges: Iterable, measure=None) -> MagneticGraph:
             raise MagnetoError("BAD_ENDPOINT", f"edge ({u},{v}) out of range")
         if u == v:
             raise MagnetoError("SELF_LOOP", f"self-loop at vertex {u}")
+        if not math.isfinite(w):
+            raise MagnetoError("NONFINITE_WEIGHT", f"edge ({u},{v}) has weight {w}")
         if w <= 0:
             raise MagnetoError("NONPOSITIVE_WEIGHT", f"edge ({u},{v}) has weight {w}")
         if not isinstance(s, GroupElement):
@@ -348,6 +350,8 @@ def build_graph(n: int, edges: Iterable, measure=None) -> MagneticGraph:
         mu = np.asarray(list(measure), dtype=np.float64)
         if len(mu) != n:
             raise MagnetoError("BAD_MEASURE", "measure length must equal n")
+        if not np.all(np.isfinite(mu)):
+            raise MagnetoError("NONFINITE_MEASURE", "measure entries must be finite")
         if np.any(mu <= 0):
             raise MagnetoError("NONPOSITIVE_MEASURE", "measure entries must be positive")
     return MagneticGraph(n, eu, ev, ew, group_kind, group_order, sig, mu)
@@ -389,22 +393,27 @@ def cartesian_product_many(factors: Sequence[MagneticGraph]) -> MagneticGraph:
 
 
 def graph_from_json_dict(data: dict) -> MagneticGraph:
-    group = data.get("group", {"kind": "cyclic", "k": 1})
-    kind = group.get("kind")
-    if kind not in (CYCLIC, CIRCLE):
-        raise MagnetoError("BAD_GROUP", f"unknown group kind {kind!r}")
-    edges = []
-    for u, v, w, s in data["edges"]:
-        if kind == "cyclic":
-            elem = GroupElement.cyclic(int(s), int(group["k"]))
-        elif kind == "circle":
-            elem = GroupElement.circle(float(s) * TWO_PI)  # turns to radians
-        else:
+    """Build a graph from the JSON schema; a schema violation raises BAD_GRAPH_JSON."""
+    try:
+        group = data.get("group", {"kind": "cyclic", "k": 1})
+        kind = group.get("kind")
+        if kind not in (CYCLIC, CIRCLE):
             raise MagnetoError("BAD_GROUP", f"unknown group kind {kind!r}")
-        edges.append((u, v, w, elem))
-    measure = data.get("measure")
-    return build_graph(int(data["n"]), edges, measure)
+        edges = []
+        for u, v, w, s in data["edges"]:
+            if kind == CYCLIC:
+                elem = GroupElement.cyclic(int(s), int(group["k"]))
+            else:
+                elem = GroupElement.circle(float(s) * TWO_PI)  # turns to radians
+            edges.append((u, v, w, elem))
+        return build_graph(int(data["n"]), edges, data.get("measure"))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise MagnetoError("BAD_GRAPH_JSON", f"malformed graph JSON: {exc!r}") from exc
 
 
-def graph_from_json(text: str) -> MagneticGraph:
-    return graph_from_json_dict(json.loads(text))
+def graph_from_json(text: str | bytes) -> MagneticGraph:
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise MagnetoError("BAD_GRAPH_JSON", f"not valid JSON: {exc}") from exc
+    return graph_from_json_dict(data)

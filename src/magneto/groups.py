@@ -40,6 +40,8 @@ class GroupElement:
 
     @staticmethod
     def circle(angle: float) -> "GroupElement":
+        if not math.isfinite(angle):
+            raise MagnetoError("NONFINITE_ANGLE", f"circle angle must be finite, got {angle}")
         return GroupElement(CIRCLE, angle=angle % TWO_PI)
 
     @staticmethod

@@ -1,10 +1,4 @@
-"""Magnetic Laplacian, Hermitian eigendecomposition and heat-kernel checks.
-
-The complex Hermitian eigenproblem is solved through the real symmetric 2N
-embedding [[A, -B], [B, A]] of H = A + iB, whose spectrum is that of H with
-every eigenvalue doubled. Eigenvalue pairs are collapsed structurally and the
-complex eigenvectors reassembled from the real/imaginary halves.
-"""
+"""Magnetic Laplacian, Hermitian eigendecomposition and heat-kernel checks."""
 
 from __future__ import annotations
 
@@ -12,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import MagnetoError
 from .graph import MagneticGraph
@@ -21,7 +14,6 @@ from .graph import MagneticGraph
 @dataclass(frozen=True)
 class Tolerances:
     hermitian: float = 1e-12
-    pairing: float = 1e-9
     residual: float = 1e-9
     pointwise: float = 1e-10
     entrywise: float = 1e-12
@@ -66,30 +58,12 @@ def magnetic_laplacian(g: MagneticGraph, signed: bool = True) -> np.ndarray:
 
 
 def eigendecomposition(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
-    """Full spectrum of a Hermitian matrix via the 2N real symmetric embedding."""
+    """Full spectrum of a complex Hermitian matrix, ascending, with orthonormal eigenvectors."""
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     if float(np.abs(h - h.conj().T).max(initial=0.0)) > tol.hermitian * scale:
         raise MagnetoError("NOT_HERMITIAN", "matrix is not Hermitian within tolerance")
-    a, b = h.real, h.imag
-    big = np.block([[a, -b], [b, a]])
-    w, u = np.linalg.eigh(big)
-    gap_tol = tol.pairing * scale
-    if np.any(np.abs(w[1::2] - w[0::2]) > gap_tol):
-        raise MagnetoError("PAIRING_FAILURE", "doubled eigenvalues do not pair up")
-    lam = 0.5 * (w[0::2] + w[1::2])
-    vecs = np.zeros((n, n), dtype=complex)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and lam[j] - lam[j - 1] <= gap_tol:
-            j += 1
-        cols = u[:, 2 * i : 2 * j]  # 2(j-i) real eigenvectors of the cluster
-        cand = cols[:n, :] + 1j * cols[n:, :]
-        q, r, _ = scipy.linalg.qr(cand, mode="economic", pivoting=True)
-        vecs[:, i:j] = q[:, : j - i]
-        i = j
+    lam, vecs = np.linalg.eigh(h)
     residual = float(np.abs(h @ vecs - vecs * lam[None, :]).max(initial=0.0))
     return SpectralData(lam, vecs, residual)
 
@@ -202,7 +176,7 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid,
             raise MagnetoError("BAD_DELTA", "t grid must be positive")
         lhs = float(np.sum(np.exp(-sd.eigenvalues * t)))
         rhs = c_big * vol / t ** (delta / 2.0)
-        diag = np.real(np.diag(heat_kernel(g, t, tol=tol).matrix))
+        diag = (np.abs(sd.eigenvectors) ** 2) @ np.exp(-sd.eigenvalues * t)
         diag_ok = bool(np.all(diag <= c_big * g.mu / t ** (delta / 2.0) + tol.pointwise))
         good = lhs <= rhs + tol.pointwise and diag_ok
         ok = ok and good

@@ -131,6 +131,26 @@ def test_missing_file_is_an_error(capsys):
     assert rep["results"]["error"] == "IO_ERROR"
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "group": {"kind": "cyclic", "k": 2}}',
+    '{"n": 2, "group": {"kind": "cyclic", "k": 2}, "edges": [[0, 1, 1.0]]}',
+    '{"n": 2, "group": {"kind": "cyclic"}, "edges": [[0, 1, 1.0, 1]]}',
+    "this is not json",
+    b'{"n": 2, "edges": [], "\xff": 0}',
+    '{"n": Infinity, "edges": []}',
+], ids=["no_edges", "three_field_edge", "cyclic_without_k", "not_json", "not_utf8", "infinite_n"])
+def test_malformed_graph_json_is_an_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, rep, _ = run(capsys, ["cheeger", str(path)])
+    assert code == 1
+    assert rep["status"] == "ERROR"
+    assert rep["results"]["error"] == "BAD_GRAPH_JSON"
+
+
 def test_budget_env_var(tmp_path, capsys, monkeypatch):
     path = write_graph(tmp_path, cycle_graph(6, 4, 1))
     monkeypatch.setenv("MAGNETO_BUDGET", "10")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_cycle, cycle_graph, random_graph, random_unbalanced_graph
+from key_quadrature_oracle import key_average_quadrature, quadrature_bound
 from magneto import (
     MagnetoError,
     bernoulli_check,
@@ -15,7 +16,6 @@ from magneto import (
     isoperimetric_constant,
     key_average_circle,
     key_average_cyclic,
-    key_quadrature_bound,
     measure_norm,
     normalize_vertex_function,
     quotient_infimum_search,
@@ -24,7 +24,11 @@ from magneto import (
     signed_gradient_norm,
     verify_sobolev,
 )
-from magneto.functional import bernoulli_check_batch, key_average_circle_batch
+from magneto.functional import (
+    bernoulli_check_batch,
+    key_average_circle_batch,
+    key_average_cyclic_batch,
+)
 
 
 def test_sector_function_basics():
@@ -86,7 +90,7 @@ def test_key_average_cyclic_matches_dense_quadrature():
         dense = acc / (n_grid * n_grid)
         fast = key_average_cyclic(z1, z2, k)
         assert fast == pytest.approx(dense, abs=2e-2)
-        assert fast <= 3.0 * abs(z1 - z2) + key_quadrature_bound(k, 4096) + 1e-12
+        assert fast <= 3.0 * abs(z1 - z2) + 1e-12
 
 
 def test_key_average_cyclic_degenerate_cases():
@@ -97,9 +101,15 @@ def test_key_average_cyclic_degenerate_cases():
         key_average_cyclic(2.0, 0j, 4)
 
 
-def test_quadrature_bound_shrinks():
-    assert key_quadrature_bound(4, 4096) == pytest.approx(16.0 / 4096.0)
-    assert key_quadrature_bound(4, 8192) < key_quadrature_bound(4, 4096)
+def test_key_average_cyclic_matches_quadrature_oracle():
+    rng = np.random.default_rng(53)
+    r = np.sqrt(rng.uniform(0.0, 1.0, (2, 300)))
+    z1, z2 = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (2, 300)))
+    for k in (2, 3, 4, 6):
+        exact = key_average_cyclic_batch(z1, z2, k)
+        for n_theta in (1024, 4096):
+            gap = np.abs(exact - key_average_quadrature(z1, z2, k, n_theta)).max()
+            assert gap <= quadrature_bound(k, n_theta), (k, n_theta, gap)
 
 
 def test_normalize_vertex_function():

@@ -27,6 +27,11 @@ def test_build_validation_errors():
         (2, [(0, 2, 1.0, ONE2)], None, "BAD_ENDPOINT"),
         (2, [(0, 1, 1.0, ONE2)], [1.0], "BAD_MEASURE"),
         (2, [(0, 1, 1.0, ONE2)], [1.0, 0.0], "NONPOSITIVE_MEASURE"),
+        (2, [(0, 1, math.nan, ONE2)], None, "NONFINITE_WEIGHT"),
+        (2, [(0, 1, math.inf, ONE2)], None, "NONFINITE_WEIGHT"),
+        (2, [(0, 1, -math.inf, ONE2)], None, "NONFINITE_WEIGHT"),
+        (2, [(0, 1, 1.0, ONE2)], [1.0, math.nan], "NONFINITE_MEASURE"),
+        (2, [(0, 1, 1.0, ONE2)], [math.inf, 1.0], "NONFINITE_MEASURE"),
         (2, [(0, 1, 1.0, ONE2), (0, 1, 1.0, GroupElement.cyclic(0, 3))], None, "MIXED_GROUPS"),
     ]
     for n, edges, mu, code in cases:

@@ -64,3 +64,10 @@ def test_bad_order_raises():
     with pytest.raises(MagnetoError) as err:
         GroupElement.cyclic(0, 0)
     assert err.value.code == "BAD_GROUP"
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_circle_rejects_non_finite_angle(angle):
+    with pytest.raises(MagnetoError) as err:
+        GroupElement.circle(angle)
+    assert err.value.code == "NONFINITE_ANGLE"

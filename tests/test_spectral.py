@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,3 +170,12 @@ def test_tolerances_are_frozen_defaults():
     assert tol.residual == 1e-9
     with pytest.raises(Exception):
         tol.residual = 1.0
+
+
+def test_import_does_not_load_scipy():
+    import magneto
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(magneto.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import magneto, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
