@@ -53,7 +53,10 @@ def _tau_digest(tau) -> dict:
 
 def cmd_frustration(args):
     g = _load_graph(args.graph)
-    subset = int(args.subset, 16) if args.subset else g.full_mask()
+    try:
+        subset = int(args.subset, 16) if args.subset else g.full_mask()
+    except ValueError as exc:
+        raise MagnetoError("BAD_SUBSET", f"--subset is not a hex bitmask: {exc}") from exc
     if args.heuristic:
         res = frustration_heuristic(g, subset, restarts=args.restarts, seed=args.seed)
     else:
@@ -144,11 +147,14 @@ def cmd_heat(args):
 
 
 def cmd_oracle(args):
-    if args.target != "cycle":
-        raise MagnetoError("PARSE_ERROR", f"unknown oracle {args.target!r}")
+    # n enters the closed forms as a float, exactly up to 2^53
+    if not 3 <= args.n <= 2**53:
+        raise MagnetoError("BAD_SIZE", f"cycle length must lie in 3..2^53, got {args.n}")
+    if not args.delta > 1.0:
+        raise MagnetoError("BAD_DELTA", f"delta must be > 1, got {args.delta}")
     sigma = GroupElement.cyclic(args.j, args.k)
     iota = frustration_cycle_oracle(sigma)
-    exponent = (args.delta - 1.0) / args.delta
+    exponent = isoperimetry._volume_exponent(args.delta)
     return {
         "n": args.n,
         "k": args.k,
@@ -162,7 +168,7 @@ def cmd_oracle(args):
 
 def _suite_coarea(g, trials, seed, results):
     rng = np.random.default_rng(seed)
-    factor = 2.0 if g.group_kind != CYCLIC else 3.0
+    factor = functional._sobolev_factor(g)
     violations = 0
     for _ in range(trials):
         f = functional.normalize_vertex_function(_random_f(rng, g.n))
@@ -330,10 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_scalar(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _json_ready(obj):
+    """Python values for numpy scalars; NaN and infinities, which strict JSON
+    lacks, become the strings "nan", "inf" and "-inf"."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    return obj
 
 
 def main(argv=None) -> int:
@@ -357,7 +371,7 @@ def main(argv=None) -> int:
         "results": results,
         "status": status,
     }
-    print(json.dumps(report, separators=(",", ":"), default=_json_scalar))
+    print(json.dumps(_json_ready(report), separators=(",", ":")))
     print(f"[magneto] {args.command}: {status} in {elapsed:.3f}s", file=sys.stderr)
     return {"OK": 0, "VIOLATION": 2}.get(status, 1)
 

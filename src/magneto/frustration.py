@@ -71,7 +71,8 @@ def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) ->
 
     Ties are broken toward the lexicographically smallest exponent vector in
     vertex order. Raises CONTINUOUS_GROUP for S^1 and BUDGET_EXCEEDED when the
-    gauge-fixed space k^(|V1|-c) is larger than ``budget``.
+    gauge-fixed space k^(|V1|-c) is larger than ``budget``; past those checks
+    the result is computed once per graph and subset.
     """
     if g.group_kind == CIRCLE:
         raise MagnetoError("CONTINUOUS_GROUP", "exact frustration requires a cyclic group")
@@ -84,6 +85,11 @@ def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) ->
             "BUDGET_EXCEEDED",
             f"gauge-fixed space {k}^{n_sub - len(comps)} exceeds budget {budget}",
         )
+    return g.memo(("frustration_exact", mask), lambda: _solve_exact(g, mask, comps))
+
+
+def _solve_exact(g: MagneticGraph, mask: int, comps: list) -> FrustrationResult:
+    k = g.group_order
     dist = 2.0 * np.sin(np.pi * np.arange(k) / k)
     total = 0.0
     evaluations = 0

@@ -79,14 +79,7 @@ def key_average_cyclic(z1: complex, z2: complex, k: int) -> float:
 
 def key_average_circle(z1: complex, z2: complex) -> float:
     """Exact int_0^1 |X_t(z1) - X_t(z2)| dt, always <= 2 |z1 - z2|."""
-    r1, r2 = abs(z1), abs(z2)
-    if r2 > r1:
-        z1, z2, r1, r2 = z2, z1, r2, r1
-    if r1 == 0.0:
-        return 0.0
-    if r2 == 0.0:
-        return r1
-    return abs(z1 / r1 - z2 / r2) * r2 + (r1 - r2)
+    return float(key_average_circle_batch([z1], [z2])[0])
 
 
 def key_average_circle_batch(z1, z2) -> np.ndarray:
@@ -204,8 +197,9 @@ def verify_sobolev(
         if h <= 0.0:
             raise MagnetoError("ZERO_CONSTANT", "h must be positive")
 
+    # at delta = inf (c_inf = h) the exponents take their limits q = 1 and q = p
     if mode == "iso_p1":
-        q = delta / (delta - 1.0)
+        q = 1.0 if delta == math.inf else delta / (delta - 1.0)
         num = signed_gradient_norm(g, f, 1.0)
         den = measure_norm(g, f, q)
         return _make_report(1.0, q, num, den, c_delta / factor)
@@ -213,10 +207,13 @@ def verify_sobolev(
     if mode == "iso_general":
         if not 1.0 <= p < delta:
             raise MagnetoError("BAD_EXPONENTS", f"need 1 <= p < delta, got p={p}")
-        q = delta * p / (delta - p)
+        if delta == math.inf:
+            q = ratio = p
+        else:
+            q, ratio = delta * p / (delta - p), (delta - 1.0) * p / (delta - p)
         dmu = g.max_mu_degree()
         dmu_pow = 1.0 if p == 1.0 else dmu ** (1.0 - 1.0 / p)
-        c_big = 2.0 * dmu_pow * ((delta - 1.0) * p / (delta - p)) * factor / c_delta
+        c_big = 2.0 * dmu_pow * ratio * factor / c_delta
         num = signed_gradient_norm(g, f, p) ** (1.0 / p)
         den = measure_norm(g, f, q)
         return _make_report(p, q, num, den, 1.0 / c_big)
@@ -308,9 +305,7 @@ def complex_power(z: complex, alpha: float) -> complex:
 
 def bernoulli_check(z1: complex, z2: complex, alpha: float, tol: float = 1e-12) -> bool:
     """|z1^a - z2^a| <= a |z1 - z2| (|z1|^{a-1} + |z2|^{a-1})."""
-    lhs = abs(complex_power(z1, alpha) - complex_power(z2, alpha))
-    rhs = alpha * abs(z1 - z2) * (abs(z1) ** (alpha - 1.0) + abs(z2) ** (alpha - 1.0))
-    return lhs <= rhs + tol
+    return bool(bernoulli_check_batch([z1], [z2], alpha, tol)[0])
 
 
 def bernoulli_check_batch(z1, z2, alpha: float, tol: float = 1e-12) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Weighted magnetic graphs with vertex measures.
 
-Vertices are dense integers 0..n-1 and vertex subsets are int bitmasks
-(n <= 64), which keeps exhaustive subset enumeration cheap. Graphs are
-immutable after construction; ``switch`` and ``cartesian_product`` return
-new graphs.
+Vertices are dense integers 0..n-1 and vertex subsets are int bitmasks of
+any width, which keeps exhaustive subset enumeration cheap. Graphs are
+immutable after construction (their arrays are read-only); ``switch`` and
+``cartesian_product`` return new graphs.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class MagneticGraph:
 
     def __init__(self, n, eu, ev, ew, group_kind, group_order, sig, mu):
         self.n = int(n)
-        self.eu = np.asarray(eu, dtype=np.int64)
-        self.ev = np.asarray(ev, dtype=np.int64)
-        self.ew = np.asarray(ew, dtype=np.float64)
+        self.eu = np.array(eu, dtype=np.int64)
+        self.ev = np.array(ev, dtype=np.int64)
+        self.ew = np.array(ew, dtype=np.float64)
         self.group_kind = group_kind
         self.group_order = group_order  # None for the circle group
         # integer exponents for cyclic, angles in [0, 2pi) for circle
@@ -72,9 +72,17 @@ class MagneticGraph:
             self.sig = np.asarray(sig, dtype=np.int64) % group_order
         else:
             self.sig = np.asarray(sig, dtype=np.float64) % TWO_PI
-        self.mu = np.asarray(mu, dtype=np.float64)
-        self._adj = None
-        self._deg = None
+        self.mu = np.array(mu, dtype=np.float64)
+        # all five are copies of the caller's data; frozen, they keep the memo valid
+        for arr in (self.eu, self.ev, self.ew, self.sig, self.mu):
+            arr.flags.writeable = False
+        self._memo = {}
+
+    def memo(self, key, compute):
+        """``compute()``, evaluated once per graph and ``key``."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- basic accessors ----------------------------------------------------
 
@@ -106,22 +114,25 @@ class MagneticGraph:
 
     def adjacency(self):
         """Per-vertex list of (neighbor, edge index, oriented-as-stored flag)."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for idx in range(self.m):
-                u, v = int(self.eu[idx]), int(self.ev[idx])
-                adj[u].append((v, idx, True))
-                adj[v].append((u, idx, False))
-            self._adj = adj
-        return self._adj
+        return self.memo("adjacency", self._build_adjacency)
+
+    def _build_adjacency(self):
+        adj = [[] for _ in range(self.n)]
+        for idx in range(self.m):
+            u, v = int(self.eu[idx]), int(self.ev[idx])
+            adj[u].append((v, idx, True))
+            adj[v].append((u, idx, False))
+        return tuple(tuple(nbrs) for nbrs in adj)
 
     def degrees(self) -> np.ndarray:
-        if self._deg is None:
-            deg = np.zeros(self.n)
-            np.add.at(deg, self.eu, self.ew)
-            np.add.at(deg, self.ev, self.ew)
-            self._deg = deg
-        return self._deg
+        return self.memo("degrees", self._build_degrees)
+
+    def _build_degrees(self) -> np.ndarray:
+        deg = np.zeros(self.n)
+        np.add.at(deg, self.eu, self.ew)
+        np.add.at(deg, self.ev, self.ew)
+        deg.flags.writeable = False
+        return deg
 
     def max_mu_degree(self) -> float:
         if self.n == 0:
@@ -147,23 +158,22 @@ class MagneticGraph:
     def mask_vertices(self, mask: int) -> list:
         return [u for u in range(self.n) if (mask >> u) & 1]
 
-    def boundary_measure(self, subset) -> float:
+    def indicator(self, subset) -> np.ndarray:
+        """Boolean vertex array of a subset, for any n."""
         mask = self.as_mask(subset)
-        inu = (mask >> self.eu) & 1
-        inv = (mask >> self.ev) & 1
-        return float(np.sum(self.ew[inu != inv]))
+        packed = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.n, bitorder="little").astype(bool)
+
+    def boundary_measure(self, subset) -> float:
+        ind = self.indicator(subset)
+        return float(np.sum(self.ew[ind[self.eu] != ind[self.ev]]))
 
     def volume(self, subset) -> float:
-        mask = self.as_mask(subset)
-        if mask == 0:
-            return 0.0
-        sel = [(mask >> u) & 1 for u in range(self.n)]
-        return float(np.dot(self.mu, sel))
+        return float(np.dot(self.mu, self.indicator(subset)))
 
     def induced_edge_indices(self, mask: int) -> np.ndarray:
-        inu = (mask >> self.eu) & 1
-        inv = (mask >> self.ev) & 1
-        return np.nonzero((inu == 1) & (inv == 1))[0]
+        ind = self.indicator(mask)
+        return np.nonzero(ind[self.eu] & ind[self.ev])[0]
 
     def components_of(self, mask: int) -> list:
         """Connected components (sorted vertex lists) of the induced subgraph."""

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import MagnetoError
 from .frustration import (
     DEFAULT_BUDGET,
-    FrustrationResult,
     frustration_exact,
     frustration_heuristic,
 )
@@ -69,7 +68,6 @@ def _subset_tables(g: MagneticGraph):
 
 def _minimize_quotient(
     g: MagneticGraph,
-    exponent: float,
     delta: float,
     heuristic: bool,
     subset_limit: int,
@@ -88,16 +86,16 @@ def _minimize_quotient(
         raise MagnetoError("CONTINUOUS_GROUP", "exact search needs a cyclic group")
 
     def frustration_of(mask):
-        if heuristic:
-            return frustration_heuristic(g, mask, restarts=restarts, seed=seed)
+        if heuristic:  # deterministic: the heuristic seeds its own rng
+            return g.memo(("frustration_heuristic", mask, restarts, seed),
+                          lambda: frustration_heuristic(g, mask, restarts=restarts, seed=seed))
         return frustration_exact(g, mask, budget=budget)
 
+    exponent = _volume_exponent(delta)
     masks, bnd, vol, pop = _subset_tables(g)
     order = np.lexsort((masks, pop))
-    full = g.full_mask()
     # quotient at V (boundary 0) seeds the pruning threshold
-    cache = {full: frustration_of(full)}
-    seed_quot = float(cache[full].value / vol[-1] ** exponent)
+    seed_quot = float(frustration_of(g.full_mask()).value / vol[-1] ** exponent)
 
     best = math.inf
     argmin = None
@@ -107,10 +105,7 @@ def _minimize_quotient(
         lb = bnd[i] / vol[i] ** exponent
         if not profile and lb > min(best, seed_quot):
             continue
-        fr = cache.get(mask)
-        if fr is None:
-            fr = frustration_of(mask)
-            cache[mask] = fr
+        fr = frustration_of(mask)
         quot = float((fr.value + bnd[i]) / vol[i] ** exponent)
         cut = CutReport(
             tuple(g.mask_vertices(mask)), fr.value, float(bnd[i]), float(vol[i]), quot
@@ -133,7 +128,7 @@ def cheeger_constant(
 ) -> IsoperimetricResult:
     """1-way signed Cheeger constant h = min (iota + boundary) / volume."""
     return _minimize_quotient(
-        g, 1.0, math.inf, heuristic, subset_limit, budget, restarts, seed, profile
+        g, math.inf, heuristic, subset_limit, budget, restarts, seed, profile
     )
 
 
@@ -148,12 +143,10 @@ def isoperimetric_constant(
     profile: bool = False,
 ) -> IsoperimetricResult:
     """Best constant c_delta with iota + boundary >= c_delta vol^((delta-1)/delta)."""
-    if delta == math.inf:
-        return cheeger_constant(g, heuristic, subset_limit, budget, restarts, seed, profile)
     if not delta > 1.0:
         raise MagnetoError("BAD_DELTA", f"delta must be > 1, got {delta}")
     return _minimize_quotient(
-        g, _volume_exponent(delta), delta, heuristic, subset_limit, budget, restarts, seed, profile
+        g, delta, heuristic, subset_limit, budget, restarts, seed, profile
     )
 
 

@@ -57,40 +57,41 @@ def magnetic_laplacian(g: MagneticGraph, signed: bool = True) -> np.ndarray:
     return lap
 
 
-def eigendecomposition(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
+def eigendecomposition(h: np.ndarray) -> SpectralData:
     """Full spectrum of a complex Hermitian matrix, ascending, with orthonormal eigenvectors."""
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    if float(np.abs(h - h.conj().T).max(initial=0.0)) > tol.hermitian * scale:
+    if float(np.abs(h - h.conj().T).max(initial=0.0)) > DEFAULT_TOL.hermitian * scale:
         raise MagnetoError("NOT_HERMITIAN", "matrix is not Hermitian within tolerance")
     lam, vecs = np.linalg.eigh(h)
     residual = float(np.abs(h @ vecs - vecs * lam[None, :]).max(initial=0.0))
     return SpectralData(lam, vecs, residual)
 
 
-def spectral_data(g: MagneticGraph, signed: bool = True, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
-    return eigendecomposition(magnetic_laplacian(g, signed=signed), tol)
+def spectral_data(g: MagneticGraph, signed: bool = True) -> SpectralData:
+    return eigendecomposition(magnetic_laplacian(g, signed=signed))
 
 
-def heat_kernel(g: MagneticGraph, t: float, signed: bool = True,
-                tol: Tolerances = DEFAULT_TOL) -> HeatKernel:
+def heat_kernel(g: MagneticGraph, t: float, signed: bool = True) -> HeatKernel:
     """K_t = sum_j e^{-lambda_j t} P_j, computed from the full spectrum."""
+    if not math.isfinite(t):
+        raise MagnetoError("NONFINITE_TIME", f"t must be finite, got {t}")
     if t < 0:
         raise MagnetoError("NEGATIVE_TIME", f"t must be >= 0, got {t}")
-    sd = spectral_data(g, signed=signed, tol=tol)
+    sd = spectral_data(g, signed=signed)
     k = (sd.eigenvectors * np.exp(-sd.eigenvalues * t)[None, :]) @ sd.eigenvectors.conj().T
     return HeatKernel(t, 0.5 * (k + k.conj().T))
 
 
-def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float,
-                                 tol: Tolerances = DEFAULT_TOL) -> dict:
+def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float) -> dict:
     """Verify the basic heat-kernel identities at one (t, a) pair."""
     if not 0 <= a <= t:
         raise MagnetoError("NEGATIVE_TIME", "need 0 <= a <= t")
-    k_t = heat_kernel(g, t, tol=tol).matrix
-    k_a = heat_kernel(g, a, tol=tol).matrix
-    k_rest = heat_kernel(g, t - a, tol=tol).matrix
+    k_t = heat_kernel(g, t).matrix
+    k_a = heat_kernel(g, a).matrix
+    k_rest = heat_kernel(g, t - a).matrix
     scale = max(1.0, float(np.abs(k_t).max()))
+    tol = DEFAULT_TOL
     report = {}
     report["hermitian"] = float(np.abs(k_t - k_t.conj().T).max()) <= tol.semigroup
     report["semigroup"] = float(np.abs(k_a @ k_rest - k_t).max()) <= tol.semigroup * scale
@@ -100,15 +101,15 @@ def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float,
     report["delta_action"] = bool(np.allclose(k_t @ delta, k_t[:, 0], atol=tol.semigroup))
     lap = magnetic_laplacian(g)
     if t >= tol.heat_eq_step:
-        k_plus = heat_kernel(g, t + tol.heat_eq_step, tol=tol).matrix
-        k_minus = heat_kernel(g, t - tol.heat_eq_step, tol=tol).matrix
+        k_plus = heat_kernel(g, t + tol.heat_eq_step).matrix
+        k_minus = heat_kernel(g, t - tol.heat_eq_step).matrix
         deriv = (k_plus - k_minus) / (2.0 * tol.heat_eq_step)
         rhs = -lap @ k_t
         denom = max(float(np.abs(rhs).max()), 1.0)
         report["heat_equation"] = float(np.abs(deriv - rhs).max()) <= tol.heat_eq_rel * denom
     else:
         report["heat_equation"] = True  # step larger than t; skipped
-    k_plain = heat_kernel(g, t, signed=False, tol=tol).matrix
+    k_plain = heat_kernel(g, t, signed=False).matrix
     sqrt_mu = np.sqrt(g.mu)
     report["unsigned_positive"] = float(k_plain.real.min(initial=0.0)) >= -tol.entrywise and \
         float(np.abs(k_plain.imag).max(initial=0.0)) <= tol.entrywise
@@ -117,58 +118,55 @@ def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float,
     return report
 
 
-def positivity_check(g: MagneticGraph, lam: float, f,
-                     tol: Tolerances = DEFAULT_TOL) -> bool:
+def positivity_check(g: MagneticGraph, lam: float, f) -> bool:
     """Resolvent positivity: (Delta + lam)^{-1} f >= 0 for real f >= 0."""
     if lam <= 0:
         raise MagnetoError("BAD_LAMBDA", "lambda must be positive")
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise MagnetoError("BAD_INPUT", "positivity check needs f >= 0")
-    sd = spectral_data(g, signed=False, tol=tol)
+    sd = spectral_data(g, signed=False)
     coeffs = sd.eigenvectors.conj().T @ f
     sol = sd.eigenvectors @ (coeffs / (sd.eigenvalues + lam))
-    return bool(np.min(sol.real, initial=0.0) >= -tol.pointwise)
+    return bool(np.min(sol.real, initial=0.0) >= -DEFAULT_TOL.pointwise)
 
 
-def kato_check(g: MagneticGraph, f, tol: Tolerances = DEFAULT_TOL) -> bool:
+def kato_check(g: MagneticGraph, f) -> bool:
     """Pointwise |f| Delta|f| <= Re(Delta_sigma f conj(f))."""
     f = np.asarray(f, dtype=complex)
     lap_u = magnetic_laplacian(g, signed=False)
     lap_s = magnetic_laplacian(g, signed=True)
     lhs = np.abs(f) * (lap_u @ np.abs(f)).real
     rhs = ((lap_s @ f) * np.conj(f)).real
-    return bool(np.all(lhs <= rhs + tol.pointwise))
+    return bool(np.all(lhs <= rhs + DEFAULT_TOL.pointwise))
 
 
-def domination_check(g: MagneticGraph, t: float, f,
-                     tol: Tolerances = DEFAULT_TOL) -> bool:
+def domination_check(g: MagneticGraph, t: float, f) -> bool:
     """|e^{-t Delta_sigma} f| <= e^{-t Delta} |f| and |K^s_t| <= K_t entrywise."""
     f = np.asarray(f, dtype=complex)
-    k_signed = heat_kernel(g, t, signed=True, tol=tol).matrix
-    k_plain = heat_kernel(g, t, signed=False, tol=tol).matrix
-    vec_ok = np.all(np.abs(k_signed @ f) <= (k_plain @ np.abs(f)).real + tol.pointwise)
-    ent_ok = np.all(np.abs(k_signed) <= k_plain.real + tol.pointwise)
+    k_signed = heat_kernel(g, t, signed=True).matrix
+    k_plain = heat_kernel(g, t, signed=False).matrix
+    vec_ok = np.all(np.abs(k_signed @ f) <= (k_plain @ np.abs(f)).real + DEFAULT_TOL.pointwise)
+    ent_ok = np.all(np.abs(k_signed) <= k_plain.real + DEFAULT_TOL.pointwise)
     return bool(vec_ok and ent_ok)
 
 
 def trace_bound_constant(delta: float, c_delta: float, d_mu: float) -> float:
     """C_delta = (72 delta d_mu)^{delta/2} c_delta^{-delta} ((delta-1)/(delta-2))^delta."""
-    if delta <= 2:
-        raise MagnetoError("BAD_DELTA", "trace bound requires delta > 2")
+    if not 2.0 < delta < math.inf:
+        raise MagnetoError("BAD_DELTA", f"trace bound requires finite delta > 2, got {delta}")
     if c_delta <= 0:
         raise MagnetoError("ZERO_CONSTANT", "c_delta must be positive (unbalanced graph)")
     return (72.0 * delta * d_mu) ** (delta / 2.0) / c_delta**delta * \
         ((delta - 1.0) / (delta - 2.0)) ** delta
 
 
-def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid,
-                      tol: Tolerances = DEFAULT_TOL) -> dict:
+def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) -> dict:
     """Heat-trace bound sum_j e^{-lambda_j t} <= C_delta vol / t^{delta/2},
     plus the per-vertex diagonal bound K_t(u,u) <= C_delta mu(u) / t^{delta/2}."""
     c_big = trace_bound_constant(delta, c_delta, g.max_mu_degree())
     vol = g.volume(g.full_mask())
-    sd = spectral_data(g, tol=tol)
+    sd = spectral_data(g)
     entries = []
     ok = True
     for t in t_grid:
@@ -177,21 +175,21 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid,
         lhs = float(np.sum(np.exp(-sd.eigenvalues * t)))
         rhs = c_big * vol / t ** (delta / 2.0)
         diag = (np.abs(sd.eigenvectors) ** 2) @ np.exp(-sd.eigenvalues * t)
-        diag_ok = bool(np.all(diag <= c_big * g.mu / t ** (delta / 2.0) + tol.pointwise))
-        good = lhs <= rhs + tol.pointwise and diag_ok
+        diag_ok = bool(np.all(diag <= c_big * g.mu / t ** (delta / 2.0) + DEFAULT_TOL.pointwise))
+        good = lhs <= rhs + DEFAULT_TOL.pointwise and diag_ok
         ok = ok and good
         entries.append({"t": float(t), "trace": lhs, "bound": rhs, "ok": good})
     return {"ok": ok, "constant": c_big, "entries": entries}
 
 
 def eigenvalue_lower_bound_check(g: MagneticGraph, delta: float, c_delta: float,
-                                 k_index: int, tol: Tolerances = DEFAULT_TOL) -> dict:
+                                 k_index: int) -> dict:
     """lambda_k >= (delta / 2e) (k / (C_delta vol))^{2/delta}."""
     c_big = trace_bound_constant(delta, c_delta, g.max_mu_degree())
-    sd = spectral_data(g, tol=tol)
+    sd = spectral_data(g)
     if not 1 <= k_index <= g.n:
         raise MagnetoError("BAD_INDEX", f"k must lie in 1..{g.n}")
     vol = g.volume(g.full_mask())
     bound = (delta / (2.0 * math.e)) * (k_index / (c_big * vol)) ** (2.0 / delta)
     lam_k = float(sd.eigenvalues[k_index - 1])
-    return {"ok": lam_k >= bound - tol.pointwise, "lambda_k": lam_k, "bound": bound}
+    return {"ok": lam_k >= bound - DEFAULT_TOL.pointwise, "lambda_k": lam_k, "bound": bound}

@@ -1,11 +1,15 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_graph, k2_graph
-from magneto import graph_from_json
+from magneto import GroupElement, build_graph, graph_from_json
 from magneto.cli import main
 
 
@@ -167,3 +171,70 @@ def test_stdout_is_deterministic(tmp_path, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_heuristic_frustration_beyond_64_vertices(tmp_path, capsys):
+    one = GroupElement.cyclic(1, 3)
+    path = write_graph(tmp_path, build_graph(80, [(i, i + 1, 1.0, one) for i in range(79)]))
+    code, rep, _ = run(capsys, ["frustration", path, "--heuristic"])
+    assert code == 0, rep
+    assert rep["results"]["value"] == 0.0  # a path is a tree
+
+
+def test_sobolev_suite_at_infinite_delta(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(5, 3, 1))
+    code, rep, _ = run(capsys, ["verify", path, "--suite", "sobolev", "--delta", "inf",
+                                "--trials", "20"])
+    assert code == 0, rep
+    res = rep["results"]["sobolev"]
+    assert res["violations"] == 0
+    assert res["c_delta"] == res["h"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "{path}", "--suite", "trace", "--delta", "inf"], "BAD_DELTA"),
+    (["frustration", "{path}", "--subset", "zz"], "BAD_SUBSET"),
+    (["oracle", "cycle", "--n", "0", "--k", "3", "--j", "1"], "BAD_SIZE"),
+    (["oracle", "cycle", "--n", "4", "--k", "3", "--j", "1", "--delta", "1"], "BAD_DELTA"),
+    (["heat", "{path}", "--t", "nan"], "NONFINITE_TIME"),
+], ids=["trace_infinite_delta", "subset_not_hex", "oracle_empty_cycle", "oracle_delta_one",
+        "heat_nan_time"])
+def test_bad_arguments_are_errors(tmp_path, capsys, argv, error):
+    path = write_graph(tmp_path, cycle_graph(5, 3, 1))
+    code, rep, _ = run(capsys, [a.format(path=path) for a in argv])
+    assert code == 1
+    assert rep["status"] == "ERROR"
+    assert rep["results"]["error"] == error
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.fixture(scope="module")
+def cycle_path(tmp_path_factory):
+    return write_graph(tmp_path_factory.mktemp("graphs"), cycle_graph(5, 3, 1))
+
+
+GRAPH = "<graph file>"
+ARGV = st.one_of(
+    st.builds(lambda s: ["frustration", GRAPH, f"--subset={s}"], st.text(max_size=12)),
+    st.builds(lambda n, k, j, d: ["oracle", "cycle", f"--n={n}", f"--k={k}", f"--j={j}",
+                                  f"--delta={d!r}"],
+              st.integers(), st.integers(), st.integers(), st.floats()),
+    st.builds(lambda t, unsigned: ["heat", GRAPH, f"--t={t!r}"] + ["--unsigned"] * unsigned,
+              st.floats(), st.booleans()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=ARGV)
+def test_every_run_prints_one_strict_json_line(cycle_path, argv):
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        code = main([cycle_path if a == GRAPH else a for a in argv])
+    out = stdout.getvalue()
+    assert code in (0, 1, 2)
+    assert out.endswith("\n") and out.count("\n") == 1
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["status"] == {0: "OK", 1: "ERROR", 2: "VIOLATION"}[code]

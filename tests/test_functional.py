@@ -194,6 +194,11 @@ def test_verify_sobolev_modes_and_errors():
     ]:
         assert rep.satisfied
         assert rep.quotient == pytest.approx(rep.numerator / rep.denominator)
+    # delta = inf takes the limits q = 1 and q = p, where c_inf = h
+    assert verify_sobolev(g, f, "iso_p1", delta=math.inf, c_delta=h) == \
+        verify_sobolev(g, f, "cheeger_p1", h=h)
+    assert verify_sobolev(g, f, "iso_general", p=2.0, delta=math.inf, c_delta=h) == \
+        verify_sobolev(g, f, "cheeger_p", p=2.0, h=h)
 
     with pytest.raises(MagnetoError) as err:
         verify_sobolev(g, f, "iso_p1")

@@ -71,6 +71,25 @@ def test_volume_and_degrees():
     assert g.max_mu_degree() == 4.0  # vertex 0: degree 4, mu 1
 
 
+def test_graph_arrays_are_read_only():
+    mu = np.array([1.0, 2.0, 3.0])
+    g = build_graph(3, [(0, 1, 1.0, ONE2), (1, 2, 2.0, MINUS)], mu)
+    for arr in (g.eu, g.ev, g.ew, g.sig, g.mu, g.degrees()):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    mu[0] = 5.0  # the caller's array is copied, not frozen
+    assert g.mu[0] == 1.0
+
+
+def test_subset_measures_beyond_64_vertices():
+    g = build_graph(80, [(i, i + 1, 1.0, ONE2) for i in range(79)], np.arange(1.0, 81.0))
+    mask = (1 << 70) | (1 << 71) | (1 << 3)
+    assert list(g.indicator(mask).nonzero()[0]) == [3, 70, 71]
+    assert g.volume(mask) == 4.0 + 71.0 + 72.0
+    assert g.boundary_measure(mask) == 4.0
+    assert list(g.induced_edge_indices(mask)) == [70]
+
+
 def test_switch_composes_like_the_group_action():
     rng = np.random.default_rng(7)
     g = random_graph(rng, 6, 4)

@@ -1,0 +1,67 @@
+"""Exact frustration is computed once per graph and subset; the subset search
+also keeps heuristic values per subset, restart count and seed."""
+
+import io
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+import magneto.frustration
+from conftest import random_graph
+from magneto import (
+    MagnetoError,
+    cheeger_constant,
+    frustration_exact,
+    graph_from_json,
+    isoperimetric_constant,
+)
+from magneto.cli import main
+
+
+def test_verify_all_solves_each_subset_once(tmp_path, monkeypatch):
+    g = random_graph(np.random.default_rng(11), 10, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    solves = Counter()
+    solve = magneto.frustration._solve_exact
+
+    def counted(graph, mask, comps):
+        solves[mask] += 1
+        return solve(graph, mask, comps)
+
+    monkeypatch.setattr(magneto.frustration, "_solve_exact", counted)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path), "--suite", "all", "--trials", "5"])
+    assert code == 0
+    assert solves[g.full_mask()] == 1
+    assert max(solves.values()) == 1
+
+
+def test_memoized_results_match_a_fresh_graph():
+    g = random_graph(np.random.default_rng(4), 7, 3)
+
+    def fresh():
+        return graph_from_json(g.to_json())
+
+    heuristic = {"heuristic": True, "restarts": 1, "seed": 5, "profile": True}
+    profiles = []
+    # the heuristic runs first: its entries must not stand in for exact ones
+    for kw in (heuristic, dict(heuristic, seed=6), {"profile": True}):
+        first = cheeger_constant(g, **kw).profile
+        assert cheeger_constant(g, **kw).profile == first  # all memo hits
+        assert cheeger_constant(fresh(), **kw).profile == first
+        profiles.append(first)
+    assert profiles[0] != profiles[2]  # the heuristic is not exact on this graph
+    isoperimetric_constant(g, 3.0)
+    for mask in range(1, 1 << g.n):
+        assert frustration_exact(g, mask) == frustration_exact(fresh(), mask)
+
+
+def test_memo_keeps_the_budget_check():
+    g = random_graph(np.random.default_rng(2), 6, 3)
+    frustration_exact(g, g.full_mask())
+    with pytest.raises(MagnetoError) as err:
+        frustration_exact(g, g.full_mask(), budget=1)
+    assert err.value.code == "BUDGET_EXCEEDED"

@@ -145,8 +145,10 @@ def test_trace_bound_constant_formula():
     val = trace_bound_constant(3.0, 0.5, 2.0)
     expected = (72.0 * 3.0 * 2.0) ** 1.5 / 0.5**3 * (2.0 / 1.0) ** 3
     assert val == pytest.approx(expected)
-    with pytest.raises(MagnetoError):
-        trace_bound_constant(2.0, 0.5, 2.0)
+    for delta in (2.0, math.inf, math.nan):
+        with pytest.raises(MagnetoError) as err:
+            trace_bound_constant(delta, 0.5, 2.0)
+        assert err.value.code == "BAD_DELTA"
     with pytest.raises(MagnetoError):
         trace_bound_constant(3.0, 0.0, 2.0)
 
