@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every invocation prints a single-line JSON run report on stdout and a short
-human-readable summary on stderr. Exit codes: 0 OK, 2 VIOLATION (a verified
-inequality failed beyond tolerance), 1 ERROR. Identical argv and seed produce
-byte-identical stdout; wall time is therefore reported on stderr only.
+Every invocation except ``--help`` prints a single-line JSON run report on
+stdout and a short human-readable summary on stderr. Exit codes: 0 OK, 2
+VIOLATION (a verified inequality failed beyond tolerance), 1 ERROR, usage
+errors included. Identical argv and seed produce byte-identical stdout; wall
+time is therefore reported on stderr only.
 """
 
 from __future__ import annotations
@@ -271,8 +272,17 @@ def cmd_verify(args):
     return results, ("OK" if ok else "VIOLATION")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise USAGE, so they are reported like any other error
+    (exit 1, one JSON line) instead of exiting 2, the VIOLATION code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise MagnetoError("USAGE", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="magneto")
+    parser = _Parser(prog="magneto")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("frustration", help="frustration index of a vertex subset")
@@ -351,14 +361,17 @@ def _json_ready(obj):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     start = time.monotonic()
-    inputs = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    command, inputs = None, {}
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help has printed
+            return int(exc.code or 0)
+        command = args.command
+        inputs = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+        if getattr(args, "seed", 0) < 0:
+            raise MagnetoError("BAD_SEED", f"--seed must be >= 0, got {args.seed}")
         results, status = args.func(args)
     except MagnetoError as exc:
         results, status = {"error": exc.code, "message": exc.message}, "ERROR"
@@ -366,13 +379,13 @@ def main(argv=None) -> int:
         results, status = {"error": "IO_ERROR", "message": str(exc)}, "ERROR"
     elapsed = time.monotonic() - start
     report = {
-        "command": args.command,
+        "command": command,
         "inputs": inputs,
         "results": results,
         "status": status,
     }
     print(json.dumps(_json_ready(report), separators=(",", ":")))
-    print(f"[magneto] {args.command}: {status} in {elapsed:.3f}s", file=sys.stderr)
+    print(f"[magneto] {command or 'usage'}: {status} in {elapsed:.3f}s", file=sys.stderr)
     return {"OK": 0, "VIOLATION": 2}.get(status, 1)
 
 

@@ -1,9 +1,11 @@
 """Frustration index: the l1 gauge-optimization problem over switchings.
 
-``frustration_exact`` enumerates the gauge-fixed search space (one vertex per
-connected component of the induced subgraph is pinned to 1, which leaves the
-cost invariant). ``frustration_heuristic`` is greedy coordinate descent and
-only ever yields an upper bound.
+``frustration_exact`` searches the gauge-fixed space exhaustively (one vertex
+per connected component of the induced subgraph is pinned to 1, which leaves
+the cost invariant): per component, a cost tensor over its last vertices is
+built from broadcast edge tables for every assignment of the vertices before
+them. ``frustration_heuristic`` is greedy coordinate descent and only ever
+yields an upper bound.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) ->
 
 def _solve_exact(g: MagneticGraph, mask: int, comps: list) -> FrustrationResult:
     k = g.group_order
-    dist = 2.0 * np.sin(np.pi * np.arange(k) / k)
+    # |1 - xi^j| = |1 - xi^(k-j)| as floats too, so exact ties stay ties
+    j = np.arange(k)
+    dist = 2.0 * np.sin(np.pi * np.minimum(j, k - j) / k)
     total = 0.0
     evaluations = 0
     assignment = {}
@@ -98,36 +102,75 @@ def _solve_exact(g: MagneticGraph, mask: int, comps: list) -> FrustrationResult:
         edges = _component_local_edges(g, comp, mask)
         m = len(comp)
         if m == 1 or not edges or k == 1:
-            for u in comp:
-                assignment[u] = 0
+            assignment.update(dict.fromkeys(comp, 0))
             evaluations += 1
             continue
-        le_u = np.array([e[0] for e in edges])
-        le_v = np.array([e[1] for e in edges])
-        le_s = g.sig[[e[2] for e in edges]]
-        le_w = g.ew[[e[2] for e in edges]]
-        size = k ** (m - 1)
-        # big-endian mixed radix: index argmin == lexicographically first minimizer
-        radix = k ** np.arange(m - 2, -1, -1, dtype=np.int64) if m > 1 else None
-        best_val, best_idx = math.inf, -1
-        for lo in range(0, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            exps = np.zeros((hi - lo, m), dtype=np.int64)
-            exps[:, 1:] = (idx[:, None] // radix[None, :]) % k
-            diffs = (exps[:, le_u] - exps[:, le_v] - le_s[None, :]) % k
-            cost = dist[diffs] @ le_w
-            j = int(np.argmin(cost))
-            if cost[j] < best_val:
-                best_val, best_idx = float(cost[j]), lo + j
-        evaluations += size
-        total += best_val
-        exps = [0] + [int((best_idx // int(r)) % k) for r in radix]
-        for u, e in zip(comp, exps):
-            assignment[u] = e
+        value, exps = _solve_component(g, dist, m, edges)
+        evaluations += k ** (m - 1)
+        total += value
+        assignment.update(zip(comp, exps))
     verts = sorted(assignment)
     tau = SwitchingAssignment.from_exponents(verts, [assignment[u] for u in verts], k)
     return FrustrationResult(total, tau, True, evaluations)
+
+
+def _solve_component(g, dist, m, edges):
+    """(cost, exponents) of the lexicographically first minimizer of one
+    component in local vertex order, local vertex 0 pinned to 0.
+
+    The last q vertices, with k^q <= _CHUNK (q >= 1), span a cost tensor; the
+    h = m - q vertices before them form a prefix, whose k^(h-1) assignments
+    (vertex 0 pinned) are enumerated in big-endian order. An edge inside the
+    tensor adds a k x k table, once per component; an edge from the prefix
+    into the tensor adds a length-k vector along one axis, and an edge inside
+    the prefix a scalar, per prefix. Each cost is summed in one fixed edge
+    order, the tensor's edges first, so assignments whose edges cost the same
+    floats cost the same float; summing the vectors of one axis first would
+    not keep that. The C-order argmin of a tensor is its big-endian first
+    minimum, and a later prefix wins only when strictly cheaper. Prefixes go
+    in blocks of _CHUNK // k, so an edge's per-prefix terms never take more
+    than about _CHUNK floats.
+    """
+    k = len(dist)
+    q = 1
+    while q < m - 1 and k ** (q + 1) <= _CHUNK:
+        q += 1
+    h = m - q
+    radix = k ** np.arange(h - 2, -1, -1, dtype=np.int64)
+    b = np.arange(k)
+    tensor = np.zeros((k,) * q)
+    crossing = []  # (lu, lv, s, w) of the edges with an end in the prefix
+    for lu, lv, idx in edges:  # graphs store u < v, so lu < lv
+        s, w = int(g.sig[idx]), float(g.ew[idx])
+        if lu < h:
+            crossing.append((lu, lv, s, w))
+        else:
+            shape = [1] * q
+            shape[lu - h] = shape[lv - h] = k
+            tensor += (w * dist[(b[:, None] - b - s) % k]).reshape(shape)
+    best, best_exps = math.inf, None
+    n_pre = k ** (h - 1)
+    block = max(1, _CHUNK // k)  # prefixes per block: k * block <= _CHUNK floats per edge
+    for lo in range(0, n_pre, block):
+        pre = np.zeros((min(block, n_pre - lo), h), dtype=np.int64)
+        pre[:, 1:] = (np.arange(lo, lo + len(pre), dtype=np.int64)[:, None] // radix) % k
+        terms = []
+        for lu, lv, s, w in crossing:
+            if lv < h:
+                terms.append(w * dist[(pre[:, lu] - pre[:, lv] - s) % k])
+            else:
+                shape = [len(pre)] + [1] * q
+                shape[lv - h + 1] = k
+                terms.append((w * dist[(pre[:, lu, None] - b - s) % k]).reshape(shape))
+        for r in range(len(pre)):
+            cost = tensor.copy()
+            for term in terms:
+                cost += term[r]
+            i = int(np.argmin(cost))
+            if cost.flat[i] < best:
+                best = float(cost.flat[i])
+                best_exps = list(pre[r]) + list(np.unravel_index(i, cost.shape))
+    return best, [int(e) for e in best_exps]
 
 
 def _heuristic_cyclic(g, comp_verts, edges, restarts, rng):

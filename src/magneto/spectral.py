@@ -72,6 +72,14 @@ def spectral_data(g: MagneticGraph, signed: bool = True) -> SpectralData:
     return eigendecomposition(magnetic_laplacian(g, signed=signed))
 
 
+def _decay(eigenvalues: np.ndarray, t: float) -> np.ndarray:
+    """e^{-lambda t} for t >= 0. A round-off eigenvalue below 0 counts as 0, so
+    the factor cannot overflow; lambda t may overflow to inf at huge t, where
+    e^{-inf} = 0 is the limit."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.maximum(eigenvalues, 0.0) * t)
+
+
 def heat_kernel(g: MagneticGraph, t: float, signed: bool = True) -> HeatKernel:
     """K_t = sum_j e^{-lambda_j t} P_j, computed from the full spectrum."""
     if not math.isfinite(t):
@@ -79,7 +87,7 @@ def heat_kernel(g: MagneticGraph, t: float, signed: bool = True) -> HeatKernel:
     if t < 0:
         raise MagnetoError("NEGATIVE_TIME", f"t must be >= 0, got {t}")
     sd = spectral_data(g, signed=signed)
-    k = (sd.eigenvectors * np.exp(-sd.eigenvalues * t)[None, :]) @ sd.eigenvectors.conj().T
+    k = (sd.eigenvectors * _decay(sd.eigenvalues, t)[None, :]) @ sd.eigenvectors.conj().T
     return HeatKernel(t, 0.5 * (k + k.conj().T))
 
 
@@ -172,9 +180,10 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) ->
     for t in t_grid:
         if t <= 0:
             raise MagnetoError("BAD_DELTA", "t grid must be positive")
-        lhs = float(np.sum(np.exp(-sd.eigenvalues * t)))
+        decay = _decay(sd.eigenvalues, t)
+        lhs = float(np.sum(decay))
         rhs = c_big * vol / t ** (delta / 2.0)
-        diag = (np.abs(sd.eigenvectors) ** 2) @ np.exp(-sd.eigenvalues * t)
+        diag = (np.abs(sd.eigenvectors) ** 2) @ decay
         diag_ok = bool(np.all(diag <= c_big * g.mu / t ** (delta / 2.0) + DEFAULT_TOL.pointwise))
         good = lhs <= rhs + DEFAULT_TOL.pointwise and diag_ok
         ok = ok and good

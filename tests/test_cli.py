@@ -197,14 +197,37 @@ def test_sobolev_suite_at_infinite_delta(tmp_path, capsys):
     (["oracle", "cycle", "--n", "0", "--k", "3", "--j", "1"], "BAD_SIZE"),
     (["oracle", "cycle", "--n", "4", "--k", "3", "--j", "1", "--delta", "1"], "BAD_DELTA"),
     (["heat", "{path}", "--t", "nan"], "NONFINITE_TIME"),
+    (["frustration", "{path}", "--heuristic", "--seed=-1"], "BAD_SEED"),
+    (["verify", "{path}", "--suite", "kato", "--seed=-1"], "BAD_SEED"),
+    (["cheeger", "{path}", "--junk"], "USAGE"),
+    (["oracle", "cycle", "--n", "four", "--k", "3", "--j", "1"], "USAGE"),
+    ([], "USAGE"),
 ], ids=["trace_infinite_delta", "subset_not_hex", "oracle_empty_cycle", "oracle_delta_one",
-        "heat_nan_time"])
+        "heat_nan_time", "frustration_negative_seed", "verify_negative_seed", "unknown_flag",
+        "non_integer_n", "no_command"])
 def test_bad_arguments_are_errors(tmp_path, capsys, argv, error):
     path = write_graph(tmp_path, cycle_graph(5, 3, 1))
     code, rep, _ = run(capsys, [a.format(path=path) for a in argv])
     assert code == 1
     assert rep["status"] == "ERROR"
     assert rep["results"]["error"] == error
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["cheeger", "--help"]) == 0
+    assert "usage: magneto" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("t", ["1e20", "1e308"])
+def test_heat_at_large_t_is_finite(tmp_path, capsys, t):
+    # the unsigned Laplacian's lowest eigenvalue comes out just below 0, and
+    # at t = 1e308 lambda t overflows for the others
+    path = write_graph(tmp_path, cycle_graph(5, 3, 1))
+    code, rep, _ = run(capsys, ["heat", path, "--t", t, "--unsigned"])
+    assert code == 0
+    assert np.allclose(rep["results"]["matrix_re"], 0.2, rtol=0.0, atol=1e-12)
+    assert rep["results"]["trace"] == pytest.approx(1.0, abs=1e-12)
 
 
 def _reject_constant(name):
@@ -224,6 +247,11 @@ ARGV = st.one_of(
               st.integers(), st.integers(), st.integers(), st.floats()),
     st.builds(lambda t, unsigned: ["heat", GRAPH, f"--t={t!r}"] + ["--unsigned"] * unsigned,
               st.floats(), st.booleans()),
+    st.builds(lambda s: ["frustration", GRAPH, "--heuristic", f"--seed={s}"], st.integers()),
+    # an extra token: an unknown flag or positional, or one the command takes;
+    # abbreviations of --help would print help instead of a report
+    st.builds(lambda cmd, junk: [cmd, GRAPH, junk], st.sampled_from(["frustration", "cheeger"]),
+              st.text(max_size=8).filter(lambda a: not a.startswith(("-h", "--h")))),
 )
 
 

@@ -1,14 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import magneto.frustration
 from conftest import circle_cycle, cycle_graph, random_graph
+from frustration_oracle import enumerate_frustration, lex_first_min_count
 from magneto import (
     GroupElement,
     MagnetoError,
     SwitchingAssignment,
     build_graph,
+    cartesian_product,
     frustration_cycle_oracle,
     frustration_exact,
     frustration_heuristic,
@@ -140,3 +146,70 @@ def test_disconnected_subsets_add_componentwise():
              (3, 4, 1.0, minus), (4, 5, 1.0, one), (3, 5, 1.0, one)]
     g = build_graph(6, edges)
     assert frustration_exact(g, g.full_mask()).value == pytest.approx(4.0, abs=1e-12)
+
+
+# largest n <= 9 per k that keeps the oracle's k^(n-1) enumeration small
+MAX_N = {2: 9, 3: 9, 4: 8, 5: 7, 6: 6}
+
+
+@st.composite
+def weighted_subsets(draw):
+    """(graph, mask) with signatures, edges and subset from hypothesis and
+    weights and measures uniform on [0.5, 2], so exact ties are the ones the
+    group's symmetry makes."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(2, MAX_N[k]))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), min_size=1, max_size=2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v, float(rng.uniform(0.5, 2.0)), GroupElement.cyclic(draw(st.integers(0, k - 1)), k))
+             for u, v in sorted(pairs)]
+    g = build_graph(n, edges, rng.uniform(0.5, 2.0, size=n))
+    return g, draw(st.integers(1, g.full_mask()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=weighted_subsets(), chunk=st.sampled_from([1, 8, 100, 1 << 15]))
+def test_exact_matches_the_enumeration_oracle(case, chunk):
+    # small chunks split components into enumerated prefixes and a tensor
+    g, mask = case
+    with mock.patch.object(magneto.frustration, "_CHUNK", chunk):
+        res = frustration_exact(g, mask)
+    value, assignment, evaluations = enumerate_frustration(g, mask)
+    assert {u: res.minimizer[u].exponent for u in assignment} == assignment
+    assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert res.evaluations == evaluations
+
+
+def _unit_graph(rng, n, k):
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    for _ in range(int(rng.integers(0, 2 * n))):
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        pairs.add((u, v))
+    return build_graph(n, [(u, v, 1.0, GroupElement.cyclic(int(rng.integers(0, k)), k))
+                           for u, v in sorted(pairs)])
+
+
+def _unit_cases():
+    cases = [cycle_graph(n, k, j) for n in range(3, 10) for k in (2, 3) for j in range(k)]
+    c3 = [cycle_graph(3, 3, j) for j in range(3)]
+    cases += [cartesian_product(a, b) for a in c3 for b in c3]
+    rng = np.random.default_rng(404)
+    cases += [_unit_graph(rng, int(rng.integers(2, 10)), int(rng.integers(2, 4)))
+              for _ in range(150)]
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 9])
+def test_exact_ties_go_to_the_lexicographically_first_minimizer(chunk):
+    # unit weights with k in {2, 3}: every frustrated edge costs the same, so
+    # minimizers are exact ties, counted in integers by the oracle
+    x = {2: 2.0, 3: 2.0 * math.sin(math.pi / 3)}
+    with mock.patch.object(magneto.frustration, "_CHUNK", chunk):
+        for g in _unit_cases():
+            mask = g.full_mask()
+            res = magneto.frustration._solve_exact(g, mask, g.components_of(mask))
+            count, assignment = lex_first_min_count(g, mask)
+            assert {u: res.minimizer[u].exponent for u in assignment} == assignment
+            assert res.value == pytest.approx(count * x[g.group_order], rel=1e-12)
+

@@ -167,6 +167,12 @@ def test_trace_and_eigenvalue_bounds_on_c4_minus():
         eigenvalue_lower_bound_check(g, 3.0, c3, 5)
 
 
+def test_trace_bound_at_large_t_is_finite():
+    # a balanced graph's lowest eigenvalue comes out just below 0
+    rep = trace_bound_check(cycle_graph(5, 3, 0), 3.0, 0.5, (1e20,))
+    assert rep["entries"][0]["trace"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_tolerances_are_frozen_defaults():
     tol = Tolerances()
     assert tol.residual == 1e-9
