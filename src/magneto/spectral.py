@@ -81,14 +81,21 @@ def _decay(eigenvalues: np.ndarray, t: float) -> np.ndarray:
 
 
 def heat_kernel(g: MagneticGraph, t: float, signed: bool = True) -> HeatKernel:
-    """K_t = sum_j e^{-lambda_j t} P_j, computed from the full spectrum."""
+    """K_t = sum_j e^{-lambda_j t} P_j, computed from the full spectrum once per
+    graph, t and signedness; the matrix is read-only."""
     if not math.isfinite(t):
         raise MagnetoError("NONFINITE_TIME", f"t must be finite, got {t}")
     if t < 0:
         raise MagnetoError("NEGATIVE_TIME", f"t must be >= 0, got {t}")
-    sd = spectral_data(g, signed=signed)
-    k = (sd.eigenvectors * _decay(sd.eigenvalues, t)[None, :]) @ sd.eigenvectors.conj().T
-    return HeatKernel(t, 0.5 * (k + k.conj().T))
+
+    def solve():
+        sd = spectral_data(g, signed=signed)
+        k = (sd.eigenvectors * _decay(sd.eigenvalues, t)[None, :]) @ sd.eigenvectors.conj().T
+        k = 0.5 * (k + k.conj().T)
+        k.flags.writeable = False
+        return k
+
+    return HeatKernel(t, g.memo(("heat_kernel", float(t), bool(signed)), solve))
 
 
 def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float) -> dict:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import magneto.frustration
 from conftest import circle_cycle, cycle_graph, random_graph
 from frustration_oracle import enumerate_frustration, lex_first_min_count
+from heuristic_oracle import heuristic_frustration
 from magneto import (
     GroupElement,
     MagnetoError,
@@ -179,6 +181,78 @@ def test_exact_matches_the_enumeration_oracle(case, chunk):
     assert {u: res.minimizer[u].exponent for u in assignment} == assignment
     assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
     assert res.evaluations == evaluations
+
+
+@st.composite
+def heuristic_cases(draw):
+    """(graph, mask) on n <= 12 vertices, unit or uniform [0.5, 2] weights; the
+    subset is any nonempty one, so it may induce several components."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 12))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), min_size=1, max_size=3 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = draw(st.booleans())
+    edges = [(u, v, 1.0 if unit else float(rng.uniform(0.5, 2.0)),
+              GroupElement.cyclic(draw(st.integers(0, k - 1)), k))
+             for u, v in sorted(pairs)]
+    g = build_graph(n, edges)
+    return g, draw(st.integers(1, g.full_mask()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=heuristic_cases(), restarts=st.integers(0, 8), seed=st.integers(0, 2**64))
+def test_heuristic_matches_the_restart_by_restart_oracle(case, restarts, seed):
+    # unit weights tie local costs, so this also pins the tie-breaking
+    g, mask = case
+    res = frustration_heuristic(g, mask, restarts=restarts, seed=seed)
+    value, assignment = heuristic_frustration(g, mask, restarts, seed)
+    assert res.value == value
+    assert {u: res.minimizer[u].exponent for u in assignment} == assignment
+    assert res.minimizer.domain_mask() == mask
+    assert l1_switch_cost(g, mask, res.minimizer) == pytest.approx(res.value, rel=1e-12, abs=0.0)
+
+
+def test_heuristic_breaks_dense_unit_ties_like_the_oracle():
+    # vertices of degree >= 4 with unit weights: local costs tie, and a per-row
+    # numpy sum in place of the BLAS product breaks some of them the other way
+    rng = np.random.default_rng(0)
+    for t in range(40):
+        n, k = int(rng.integers(6, 11)), int(rng.integers(3, 7))
+        g = build_graph(n, [(u, v, 1.0, GroupElement.cyclic(int(rng.integers(0, k)), k))
+                            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7])
+        res = frustration_heuristic(g, g.full_mask(), restarts=4, seed=t)
+        value, assignment = heuristic_frustration(g, g.full_mask(), 4, t)
+        assert res.value == value
+        assert {u: res.minimizer[u].exponent for u in assignment} == assignment
+
+
+@pytest.mark.parametrize("chunk", [1, 60, 1 << 15])
+def test_heuristic_restart_blocks_match_the_oracle(chunk):
+    # small chunks split the restarts into blocks of one or a few rows
+    rng = np.random.default_rng(5)
+    with mock.patch.object(magneto.frustration, "_CHUNK", chunk):
+        for t in range(6):
+            g = random_graph(rng, 7, int(rng.integers(2, 7)))
+            res = frustration_heuristic(g, g.full_mask(), restarts=30, seed=t)
+            value, assignment = heuristic_frustration(g, g.full_mask(), 30, t)
+            assert res.value == value
+            assert {u: res.minimizer[u].exponent for u in assignment} == assignment
+
+
+def test_heuristic_memory_does_not_grow_with_restarts():
+    # rows are swept in blocks of about _CHUNK // (k * deg + edges), so many
+    # restarts cost time, not memory
+    g = cycle_graph(8, 3, 1)
+    peaks = []
+    for restarts in (3000, 30000):
+        tracemalloc.start()
+        try:
+            frustration_heuristic(g, g.full_mask(), restarts=restarts, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def _unit_graph(rng, n, k):

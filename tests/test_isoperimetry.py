@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import magneto.isoperimetry
 from conftest import cycle_graph, k2_graph, random_graph
 from magneto import (
     GroupElement,
@@ -71,13 +73,19 @@ def test_profile_covers_every_nonempty_subset():
 
 
 def test_pruned_and_profiled_runs_agree():
+    # the last graph is balanced: the pruning threshold is 0 there
     rng = np.random.default_rng(29)
-    for _ in range(10):
-        g = random_graph(rng, 6, 3)
-        fast = cheeger_constant(g)
-        slow = cheeger_constant(g, profile=True)
-        assert fast.constant == pytest.approx(slow.constant, abs=1e-12)
-        assert fast.argmin.subset == slow.argmin.subset
+    graphs = [random_graph(rng, 6, 3) for _ in range(10)]
+    graphs.append(random_graph(rng, 6, 3, force_trivial_signature=True))
+    for delta in (math.inf, 3.0):
+        for heuristic in (False, True):
+            kw = {"heuristic": heuristic, "restarts": 2, "seed": 1}
+            for g in graphs:
+                fast = isoperimetric_constant(g, delta, **kw)
+                slow = isoperimetric_constant(g, delta, profile=True, **kw)
+                assert fast.constant == slow.constant
+                assert fast.argmin.subset == slow.argmin.subset
+            assert fast.constant == 0.0
 
 
 def test_switching_invariance_of_cheeger():
@@ -114,6 +122,26 @@ def test_product_additivity_heuristic_flag():
     )
     assert rep.upper_bound_mode
     assert rep.holds
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+def test_product_constant_below_the_lower_side_fails(heuristic, monkeypatch):
+    # exact or an upper bound, h(product) below the lower side proves h < lower
+    factors = [cycle_graph(3, 2, 1), k2_graph(2, 0)]
+    rep = verify_product_additivity(factors, heuristic=heuristic, restarts=4)
+    assert rep.holds
+
+    def too_low(g, **kw):
+        res = cheeger_constant(g, **kw)
+        if g.n == 6:
+            return dataclasses.replace(res, constant=rep.lower / 2.0)
+        return res
+
+    monkeypatch.setattr(magneto.isoperimetry, "cheeger_constant", too_low)
+    low = verify_product_additivity(factors, heuristic=heuristic, restarts=4)
+    assert low.product_constant < low.lower
+    assert not low.holds
+    assert low.upper_bound_mode is heuristic
 
 
 def test_torus_bounds_formula():

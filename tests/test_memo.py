@@ -1,5 +1,6 @@
 """Exact frustration is computed once per graph and subset; the subset search
-also keeps heuristic values per subset, restart count and seed."""
+also keeps heuristic values per subset, restart count and seed, and heat
+kernels are kept per time and signedness."""
 
 import io
 from collections import Counter
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 
 import magneto.frustration
+import magneto.spectral
 from conftest import random_graph
 from magneto import (
     MagnetoError,
     cheeger_constant,
     frustration_exact,
     graph_from_json,
+    heat_kernel,
     isoperimetric_constant,
 )
 from magneto.cli import main
@@ -65,3 +68,35 @@ def test_memo_keeps_the_budget_check():
     with pytest.raises(MagnetoError) as err:
         frustration_exact(g, g.full_mask(), budget=1)
     assert err.value.code == "BUDGET_EXCEEDED"
+
+
+def test_domination_suite_solves_each_heat_kernel_once(tmp_path, monkeypatch):
+    g = random_graph(np.random.default_rng(8), 8, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    solves = []
+    solve = magneto.spectral.eigendecomposition
+
+    def counted(h):
+        solves.append(1)
+        return solve(h)
+
+    monkeypatch.setattr(magneto.spectral, "eigendecomposition", counted)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path), "--suite", "domination", "--trials", "5"])
+    assert code == 0
+    assert len(solves) == 6  # t in (0.1, 1, 10), signed and unsigned
+
+
+def test_memoized_heat_kernels_match_a_fresh_graph():
+    g = random_graph(np.random.default_rng(9), 7, 4)
+    for t in (0.0, 0.5, 2.0):
+        for signed in (True, False):
+            first = heat_kernel(g, t, signed=signed)
+            again = heat_kernel(g, t, signed=signed)
+            assert again.matrix is first.matrix and again.t == t
+            assert not first.matrix.flags.writeable
+            assert np.array_equal(first.matrix, heat_kernel(graph_from_json(g.to_json()),
+                                                             t, signed=signed).matrix)
+    assert not np.array_equal(heat_kernel(g, 0.5).matrix,
+                              heat_kernel(g, 0.5, signed=False).matrix)
