@@ -22,6 +22,7 @@ from .isoperimetry import (
     CutReport,
     IsoperimetricResult,
     ProductAdditivityReport,
+    SearchStats,
     cheeger_constant,
     isoperimetric_constant,
     torus_cheeger_bounds,

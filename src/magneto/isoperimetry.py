@@ -3,9 +3,20 @@
 The constant is defined operationally as the minimum over nonempty subsets of
 (frustration + boundary) / volume^((delta-1)/delta), so balanced graphs give 0.
 Subsets are visited in increasing popcount, then increasing bitmask value, and
-the first minimizer is kept. Since frustration is nonnegative, any subset whose
-boundary/volume quotient already exceeds the best value seen so far can be
-skipped without evaluating its frustration.
+the first minimizer is kept. The quotient at V seeds the threshold, and two
+lower bounds on a subset's quotient skip its frustration solve when they
+already exceed it:
+
+- the boundary bound boundary / volume^e, since frustration is nonnegative;
+- the spectral bound (lambda_1(L_S) vol / 2 + boundary) / volume^e. With
+  f = tau 1_S every edge term |tau(u) - s tau(v)| is at most 2, and
+  |x| >= x^2 / 2 there, so frustration(S) >= lambda_1(L_S) vol(S) / 2, where
+  L_S is the mu-normalised magnetic Laplacian of the subgraph induced on S.
+
+Both prune only subsets whose bound strictly exceeds the threshold, so no tie
+is dropped, and a heuristic frustration is at least the true one, so neither
+changes a heuristic search either. A heuristic search reports the least
+spectral bound as a certified lower bound on the constant.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import numpy as np
 
 from .errors import MagnetoError
 from .frustration import (
+    _CHUNK,
     DEFAULT_BUDGET,
     frustration_exact,
     frustration_heuristic,
@@ -26,6 +38,9 @@ from .graph import MagneticGraph, cartesian_product_many
 from .groups import CIRCLE, GroupElement
 
 DEFAULT_SUBSET_LIMIT = 14
+# eigvalsh returns the eigenvalues of a matrix within about n * eps * ||L|| of
+# its own; the spectral bound gives up _EIG_SLACK times that
+_EIG_SLACK = 64
 
 
 @dataclass(frozen=True)
@@ -38,10 +53,22 @@ class CutReport:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """What a search did with each nonempty subset; the last three sum to the first."""
+
+    subsets: int
+    pruned_boundary: int
+    pruned_spectral: int
+    evaluated: int  # frustration solved (or looked up) and quotient formed
+
+
+@dataclass(frozen=True)
 class IsoperimetricResult:
     delta: float  # math.inf for the Cheeger constant
     constant: float
     argmin: CutReport
+    lower_bound: float  # certified; equals constant when exact
+    stats: SearchStats
     profile: Optional[list] = None
     exact: bool = True  # False when any subset used heuristic frustration
 
@@ -53,17 +80,55 @@ def _volume_exponent(delta: float) -> float:
 
 
 def _subset_tables(g: MagneticGraph):
-    """Boundary, volume and popcount for every nonempty subset mask."""
+    """Boundary, volume and popcount for every nonempty subset mask. The bits
+    are boolean arrays, one byte per subset and vertex; a weight times a bit
+    is the weight or 0.0."""
     n = g.n
     masks = np.arange(1, 1 << n, dtype=np.int64)
-    bits = [((masks >> u) & 1).astype(np.float64) for u in range(n)]
+    bits = [(masks >> u) & 1 == 1 for u in range(n)]
     vol = sum(g.mu[u] * bits[u] for u in range(n))
     bnd = np.zeros(len(masks))
     for idx in range(g.m):
         u, v = int(g.eu[idx]), int(g.ev[idx])
-        bnd += g.ew[idx] * np.abs(bits[u] - bits[v])
+        bnd += g.ew[idx] * (bits[u] != bits[v])
     pop = sum(bits)
     return masks, bnd, vol, pop
+
+
+def _spectral_bounds(g: MagneticGraph, masks, pop, bnd, vol, exponent: float) -> np.ndarray:
+    """(max(lambda_1(L_S) - tol, 0) vol / 2 + boundary) / vol^exponent per
+    subset mask, a lower bound on its quotient.
+
+    The subsets of one size |S| share batches of |S| x |S| matrices L_S, in
+    blocks of at most _CHUNK // n^2 subsets: the rows and columns of S
+    gathered from the lower triangle of -A^s, which is all eigvalsh reads,
+    with the degrees of the induced subgraph on the diagonal.
+    ||L_S|| <= 2 d_mu sets tol.
+    """
+    n = g.n
+    tol = _EIG_SLACK * n * np.finfo(float).eps * 2.0 * g.max_mu_degree()
+    scale = np.sqrt(g.mu)
+    lower = np.zeros((n, n), dtype=complex)  # entries (v, u), v > u, of -A^s
+    lower[g.ev, g.eu] = -g.ew * np.conj(g.signature_values()) / (scale[g.eu] * scale[g.ev])
+    weights = np.zeros((n, n))
+    weights[g.eu, g.ev] = weights[g.ev, g.eu] = g.ew
+    lam = np.empty(len(masks))
+    block = max(1, _CHUNK // (n * n))
+    for size in range(1, n + 1):
+        same = np.flatnonzero(pop == size)
+        diag = np.arange(size)
+        for lo in range(0, len(same), block):
+            rows = same[lo:lo + block]
+            bits = (masks[rows, None] >> np.arange(n)) & 1 == 1
+            # row-major, so each row's vertices ascend and the lower triangle
+            # of -A^s lands in the lower triangle of L_S
+            verts = np.nonzero(bits)[1].reshape(len(rows), size)
+            sub = (verts[:, :, None], verts[:, None, :])
+            lap = lower[sub]
+            # induced degrees: the weights to neighbours inside S
+            lap[:, diag, diag] = weights[sub].sum(axis=2) / g.mu[verts]
+            lam[rows] = np.linalg.eigvalsh(lap)[:, 0]
+    return (0.5 * np.maximum(lam - tol, 0.0) * vol + bnd) / vol ** exponent
 
 
 def _minimize_quotient(
@@ -96,19 +161,34 @@ def _minimize_quotient(
     order = np.lexsort((masks, pop))
     # quotient at V (boundary 0) seeds the pruning threshold
     seed_quot = float(frustration_of(g.full_mask()).value / vol[-1] ** exponent)
+    # Two array passes drop the subsets whose boundary bound, then spectral
+    # bound, exceeds the threshold; the slack keeps a superset of the loop's
+    # survivors, and the loop's test still decides. A subset the boundary pass
+    # drops has a quotient above seed_quot, the quotient at V, so the least
+    # spectral bound over the boundary survivors (V among them) is a lower
+    # bound on the constant. Only an exact profiled search needs neither.
+    threshold = seed_quot * (1 + 1e-9)
+    survivors = order[bnd[order] / vol[order] ** exponent <= threshold]
+    spectral = None
+    if heuristic or not profile:
+        spectral = _spectral_bounds(
+            g, masks[survivors], pop[survivors], bnd[survivors], vol[survivors], exponent
+        )
+    pruned_spectral = 0
     if not profile:
-        # one array pass drops most subsets the loop would skip; the slack keeps
-        # a superset of the loop's survivors, and the loop's test still decides
-        order = order[bnd[order] / vol[order] ** exponent <= seed_quot * (1 + 1e-9)]
+        order = survivors[spectral <= threshold]
+        pruned_spectral = len(survivors) - len(order)
 
     best = math.inf
     argmin = None
+    evaluated = 0
     reports = [] if profile else None
     for i in order:
         mask = int(masks[i])
         lb = bnd[i] / vol[i] ** exponent
         if not profile and lb > min(best, seed_quot):
             continue
+        evaluated += 1
         fr = frustration_of(mask)
         quot = float((fr.value + bnd[i]) / vol[i] ** exponent)
         cut = CutReport(
@@ -118,7 +198,13 @@ def _minimize_quotient(
             reports.append(cut)
         if quot < best:
             best, argmin = quot, cut
-    return IsoperimetricResult(delta, best, argmin, reports, exact=not heuristic)
+    stats = SearchStats(
+        len(masks), len(masks) - pruned_spectral - evaluated, pruned_spectral, evaluated
+    )
+    lower_bound = float(spectral.min()) if heuristic else best
+    return IsoperimetricResult(
+        delta, best, argmin, lower_bound, stats, reports, exact=not heuristic
+    )
 
 
 def cheeger_constant(

@@ -1,17 +1,24 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magneto.isoperimetry
 from conftest import cycle_graph, k2_graph, random_graph
+from frustration_oracle import enumerate_frustration
 from magneto import (
     GroupElement,
     MagnetoError,
     SwitchingAssignment,
+    build_graph,
+    cartesian_product_many,
     cheeger_constant,
     isoperimetric_constant,
+    spectral_data,
     torus_cheeger_bounds,
     verify_product_additivity,
 )
@@ -72,20 +79,146 @@ def test_profile_covers_every_nonempty_subset():
     assert best == pytest.approx(res.constant, abs=1e-12)
 
 
-def test_pruned_and_profiled_runs_agree():
-    # the last graph is balanced: the pruning threshold is 0 there
-    rng = np.random.default_rng(29)
-    graphs = [random_graph(rng, 6, 3) for _ in range(10)]
-    graphs.append(random_graph(rng, 6, 3, force_trivial_signature=True))
+@st.composite
+def search_graphs(draw, n_max):
+    """(graph, balanced) on 2..n_max vertices with k in 2..5: edges of any
+    density, mostly over a random spanning tree. Weights and measures are all
+    1 (many exact ties), uniform on [0.5, 2], or log-uniform on [1e-3, 1e3];
+    a balanced graph switches the trivial signature by a random gauge, so its
+    signature need not be trivial."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.sampled_from(range(2, n_max + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    if draw(st.sampled_from([True, True, True, False])):  # connected
+        pairs |= {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    pairs = sorted(pairs)
+    balanced = draw(st.sampled_from([False, False, False, True]))
+    tau = rng.integers(0, k, size=n)
+    sig = [int(tau[u] - tau[v]) if balanced else int(rng.integers(0, k)) for u, v in pairs]
+    spread = draw(st.sampled_from(["unit", "near", "wide"]))
+
+    def draw_scales(size):
+        if spread == "unit":
+            return np.ones(size)
+        if spread == "near":
+            return rng.uniform(0.5, 2.0, size)
+        return 10.0 ** rng.uniform(-3.0, 3.0, size)
+
+    weights = draw_scales(len(pairs))
+    edges = [(u, v, float(w), GroupElement.cyclic(j, k))
+             for (u, v), w, j in zip(pairs, weights, sig)]
+    return build_graph(n, edges, draw_scales(n)), balanced
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=search_graphs(7))
+def test_pruned_and_profiled_runs_agree(case):
+    # a profiled search prunes nothing; on a balanced graph the exact
+    # threshold is 0, while coordinate descent need not find the gauge
+    g, balanced = case
     for delta in (math.inf, 3.0):
+        exact_h = None
         for heuristic in (False, True):
             kw = {"heuristic": heuristic, "restarts": 2, "seed": 1}
-            for g in graphs:
-                fast = isoperimetric_constant(g, delta, **kw)
-                slow = isoperimetric_constant(g, delta, profile=True, **kw)
-                assert fast.constant == slow.constant
-                assert fast.argmin.subset == slow.argmin.subset
-            assert fast.constant == 0.0
+            fast = isoperimetric_constant(g, delta, **kw)
+            slow = isoperimetric_constant(g, delta, profile=True, **kw)
+            assert fast.constant == slow.constant
+            assert fast.argmin.subset == slow.argmin.subset
+            assert fast.lower_bound == slow.lower_bound
+            assert slow.stats == magneto.isoperimetry.SearchStats(2**g.n - 1, 0, 0, 2**g.n - 1)
+            stats = fast.stats
+            assert stats.pruned_boundary + stats.pruned_spectral + stats.evaluated == stats.subsets
+            if heuristic:
+                assert 0.0 <= fast.lower_bound <= exact_h
+            else:
+                assert fast.lower_bound == fast.constant
+                assert fast.constant == 0.0 or not balanced
+                exact_h = fast.constant
+
+
+def induced_lambda_1(g, mask):
+    """Least eigenvalue of the Laplacian of the subgraph induced on ``mask``,
+    built as a graph of its own."""
+    verts = g.mask_vertices(mask)
+    pos = {u: i for i, u in enumerate(verts)}
+    edges = [(pos[int(g.eu[e])], pos[int(g.ev[e])], float(g.ew[e]), g.signature_element(int(e)))
+             for e in g.induced_edge_indices(mask)]
+    sub = build_graph(len(verts), edges, g.mu[verts])
+    return float(spectral_data(sub).eigenvalues[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=search_graphs(8))
+def test_spectral_bound_lies_below_frustration(case):
+    # iota(S) >= lambda_1(L_S) vol(S) / 2 on every subset S; the search's
+    # bound, with boundary 0 and exponent 1, is (lambda_1 - tol) / 2 or 0
+    g, _ = case
+    masks, _, vol, pop = magneto.isoperimetry._subset_tables(g)
+    half = magneto.isoperimetry._spectral_bounds(g, masks, pop, np.zeros(len(masks)), vol, 1.0)
+    d_mu = g.max_mu_degree()
+    for mask, h, v in zip(masks.tolist(), half, vol):
+        iota = enumerate_frustration(g, mask)[0]
+        lam = induced_lambda_1(g, mask)
+        assert 0.5 * lam * v <= iota + 1e-12 * d_mu * v
+        assert h * v <= iota + 1e-12 * d_mu * v
+        assert 0.5 * lam - 1e-12 * d_mu <= h <= max(0.5 * lam, 0.0)
+
+
+def no_spectral_bound(g, masks, pop, bnd, vol, exponent):
+    return np.full(len(masks), -np.inf)
+
+
+def test_spectral_filter_keeps_the_torus_search():
+    # the benchmark's heuristic c4 x c4 torus, with and without the filter; at
+    # delta = 3 the filter prunes none of its subsets
+    c4 = cycle_graph(4, 4, 1)
+    kw = {"heuristic": True, "subset_limit": 16, "restarts": 4}
+    fast = cheeger_constant(cartesian_product_many([c4, c4]), **kw)
+    with mock.patch.object(magneto.isoperimetry, "_spectral_bounds", no_spectral_bound):
+        slow = cheeger_constant(cartesian_product_many([c4, c4]), **kw)
+    assert (fast.stats.pruned_spectral, slow.stats.pruned_spectral) == (120, 0)
+    assert fast.constant == slow.constant
+    assert fast.argmin == slow.argmin
+
+
+@pytest.fixture(scope="module")
+def c3c3k2_searches():
+    """Every search on criterion 08's product c3 x c3 x K2 (n = 18), on one
+    graph object so that the four share its frustration memo."""
+    g = cartesian_product_many([cycle_graph(3, 2, 1), cycle_graph(3, 2, 1), k2_graph(2, 1)])
+    return {(heuristic, delta): isoperimetric_constant(
+                g, delta, heuristic=heuristic, subset_limit=18, restarts=4)
+            for heuristic in (False, True) for delta in (math.inf, 3.0)}
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+@pytest.mark.parametrize("delta", [math.inf, 3.0])
+def test_spectral_filter_keeps_the_c3c3k2_search(c3c3k2_searches, heuristic, delta):
+    # the boundary-pruned search, without the spectral filter, gave these
+    # constants, all attained at V with frustration 24 and volume 18
+    res = c3c3k2_searches[(heuristic, delta)]
+    assert res.constant == {math.inf: 1.3333333333333333, 3.0: 3.4943218589451956}[delta]
+    assert res.argmin.subset == tuple(range(18))
+    assert res.argmin.frustration == 24.0
+
+
+def test_spectral_filter_prunes_most_c3c3k2_subsets(c3c3k2_searches):
+    # 7,578 subsets pass the boundary test; solving each was the old cost
+    stats = c3c3k2_searches[(False, math.inf)].stats
+    assert stats.subsets == 2**18 - 1
+    assert stats.subsets - stats.pruned_boundary <= 7578
+    assert stats.pruned_spectral >= 7000
+    assert stats.pruned_boundary + stats.pruned_spectral + stats.evaluated == stats.subsets
+
+
+def test_heuristic_lower_bound_certifies_the_product_lower_side(c3c3k2_searches):
+    # lambda_1 / 2 = 1 at V, above the additivity lower side (1/3)(2/3 + 2/3 + 0)
+    res = c3c3k2_searches[(True, math.inf)]
+    assert not res.exact
+    assert 4.0 / 9.0 <= res.lower_bound <= res.constant
+    assert c3c3k2_searches[(False, math.inf)].lower_bound == res.constant
 
 
 def test_switching_invariance_of_cheeger():
