@@ -36,6 +36,7 @@ from .frustration import (
 )
 from .graph import MagneticGraph, cartesian_product_many
 from .groups import CIRCLE, GroupElement
+from .spectral import magnetic_laplacian
 
 DEFAULT_SUBSET_LIMIT = 14
 # eigvalsh returns the eigenvalues of a matrix within about n * eps * ||L|| of
@@ -101,15 +102,14 @@ def _spectral_bounds(g: MagneticGraph, masks, pop, bnd, vol, exponent: float) ->
 
     The subsets of one size |S| share batches of |S| x |S| matrices L_S, in
     blocks of at most _CHUNK // n^2 subsets: the rows and columns of S
-    gathered from the lower triangle of -A^s, which is all eigvalsh reads,
-    with the degrees of the induced subgraph on the diagonal.
+    gathered from the strict lower triangle of the whole graph's Laplacian,
+    which is all eigvalsh reads off the diagonal, with the degrees of the
+    induced subgraph on the diagonal.
     ||L_S|| <= 2 d_mu sets tol.
     """
     n = g.n
     tol = _EIG_SLACK * n * np.finfo(float).eps * 2.0 * g.max_mu_degree()
-    scale = np.sqrt(g.mu)
-    lower = np.zeros((n, n), dtype=complex)  # entries (v, u), v > u, of -A^s
-    lower[g.ev, g.eu] = -g.ew * np.conj(g.signature_values()) / (scale[g.eu] * scale[g.ev])
+    lower = np.tril(magnetic_laplacian(g), -1)  # the mu-scaled -A^s below the diagonal
     weights = np.zeros((n, n))
     weights[g.eu, g.ev] = weights[g.ev, g.eu] = g.ew
     lam = np.empty(len(masks))
@@ -128,7 +128,11 @@ def _spectral_bounds(g: MagneticGraph, masks, pop, bnd, vol, exponent: float) ->
             # induced degrees: the weights to neighbours inside S
             lap[:, diag, diag] = weights[sub].sum(axis=2) / g.mu[verts]
             lam[rows] = np.linalg.eigvalsh(lap)[:, 0]
-    return (0.5 * np.maximum(lam - tol, 0.0) * vol + bnd) / vol ** exponent
+    # numpy's array power and its scalar power round apart in a few percent
+    # of cases; the search forms its quotients with the scalar one, so a bound
+    # equal to a quotient in exact arithmetic cannot exceed it as a float
+    scale = np.array([v ** exponent for v in vol])
+    return (0.5 * np.maximum(lam - tol, 0.0) * vol + bnd) / scale
 
 
 def _minimize_quotient(

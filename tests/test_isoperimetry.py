@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magneto.isoperimetry
@@ -17,6 +17,7 @@ from magneto import (
     build_graph,
     cartesian_product_many,
     cheeger_constant,
+    graph_from_json,
     isoperimetric_constant,
     spectral_data,
     torus_cheeger_bounds,
@@ -81,11 +82,12 @@ def test_profile_covers_every_nonempty_subset():
 
 @st.composite
 def search_graphs(draw, n_max):
-    """(graph, balanced) on 2..n_max vertices with k in 2..5: edges of any
+    """(graph, balance) on 2..n_max vertices with k in 2..5: edges of any
     density, mostly over a random spanning tree. Weights and measures are all
-    1 (many exact ties), uniform on [0.5, 2], or log-uniform on [1e-3, 1e3];
-    a balanced graph switches the trivial signature by a random gauge, so its
-    signature need not be trivial."""
+    1 (many exact ties), uniform on [0.5, 2], or log-uniform on [1e-3, 1e3].
+    ``balance`` is "none" for random signatures, "trivial" for the trivial
+    signature, and "gauged" for the trivial signature switched by a random
+    gauge, which need not be trivial."""
     k = draw(st.integers(2, 5))
     n = draw(st.sampled_from(range(2, n_max + 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -94,9 +96,10 @@ def search_graphs(draw, n_max):
     if draw(st.sampled_from([True, True, True, False])):  # connected
         pairs |= {(int(rng.integers(0, v)), v) for v in range(1, n)}
     pairs = sorted(pairs)
-    balanced = draw(st.sampled_from([False, False, False, True]))
-    tau = rng.integers(0, k, size=n)
-    sig = [int(tau[u] - tau[v]) if balanced else int(rng.integers(0, k)) for u, v in pairs]
+    balance = draw(st.sampled_from(["none", "none", "none", "trivial", "gauged"]))
+    tau = rng.integers(0, k, size=n) if balance == "gauged" else np.zeros(n, dtype=int)
+    sig = [int(rng.integers(0, k)) if balance == "none" else int(tau[u] - tau[v])
+           for u, v in pairs]
     spread = draw(st.sampled_from(["unit", "near", "wide"]))
 
     def draw_scales(size):
@@ -109,15 +112,35 @@ def search_graphs(draw, n_max):
     weights = draw_scales(len(pairs))
     edges = [(u, v, float(w), GroupElement.cyclic(j, k))
              for (u, v), w, j in zip(pairs, weights, sig)]
-    return build_graph(n, edges, draw_scales(n)), balanced
+    return build_graph(n, edges, draw_scales(n)), balance
+
+
+# c_3 is attained at a singleton with frustration 0, where the spectral bound
+# equals the quotient in exact arithmetic; numpy's array power put the bound
+# 2 ulps above the quotient's scalar power
+SINGLETON_TIE = graph_from_json(
+    '{"n": 7, "group": {"kind": "cyclic", "k": 4}, "edges": ['
+    '[0, 4, 17.578159628917707, 2], [0, 5, 0.0010167123559906, 0], '
+    '[0, 6, 1.0475717863872476, 3], [1, 2, 0.41687160372402976, 1], '
+    '[1, 3, 0.016577422898493142, 0], [1, 4, 0.08905449955472924, 2], '
+    '[2, 3, 68.75305272369604, 3], [2, 4, 0.07919769181348528, 3], '
+    '[3, 5, 0.007838473622123537, 3], [3, 6, 15.52644187844697, 1], '
+    '[4, 6, 0.4912070649483007, 0]], "measure": [62.178028238985014, '
+    '0.02588801453900706, 0.08292928593813456, 62.990804683221576, '
+    '1.1025767582615116, 1.0922197076340874, 0.026131525907200956]}')
 
 
 @settings(max_examples=50, deadline=None)
 @given(case=search_graphs(7))
+@example(case=(random_graph(np.random.default_rng(29), 6, 3, force_trivial_signature=True),
+               "trivial"))
+@example(case=(SINGLETON_TIE, "none"))
 def test_pruned_and_profiled_runs_agree(case):
     # a profiled search prunes nothing; on a balanced graph the exact
-    # threshold is 0, while coordinate descent need not find the gauge
-    g, balanced = case
+    # threshold is 0, and so is the heuristic one on the trivial signature,
+    # where its all-zero start costs 0, while coordinate descent need not
+    # find a random gauge
+    g, balance = case
     for delta in (math.inf, 3.0):
         exact_h = None
         for heuristic in (False, True):
@@ -132,9 +155,10 @@ def test_pruned_and_profiled_runs_agree(case):
             assert stats.pruned_boundary + stats.pruned_spectral + stats.evaluated == stats.subsets
             if heuristic:
                 assert 0.0 <= fast.lower_bound <= exact_h
+                assert fast.constant == 0.0 or balance != "trivial"
             else:
                 assert fast.lower_bound == fast.constant
-                assert fast.constant == 0.0 or not balanced
+                assert fast.constant == 0.0 or balance == "none"
                 exact_h = fast.constant
 
 
