@@ -49,11 +49,11 @@ def magnetic_laplacian(g: MagneticGraph, signed: bool = True) -> np.ndarray:
     np.fill_diagonal(lap, g.degrees() / g.mu)
     s = g.signature_values() if signed else np.ones(g.m)
     scale = np.sqrt(g.mu)
-    for idx in range(g.m):
-        u, v = int(g.eu[idx]), int(g.ev[idx])
-        off = -g.ew[idx] * s[idx] / (scale[u] * scale[v])
-        lap[u, v] += off
-        lap[v, u] += np.conj(off)
+    off = -g.ew * s / (scale[g.eu] * scale[g.ev])
+    # the graph is simple, so no position repeats; adding onto the zeros (not
+    # assigning) turns a -0.0 imaginary part into +0.0, as a per-edge loop does
+    lap[g.eu, g.ev] += off
+    lap[g.ev, g.eu] += np.conj(off)
     return lap
 
 
@@ -70,6 +70,20 @@ def eigendecomposition(h: np.ndarray) -> SpectralData:
 
 def spectral_data(g: MagneticGraph, signed: bool = True) -> SpectralData:
     return eigendecomposition(magnetic_laplacian(g, signed=signed))
+
+
+def eigenvalues(g: MagneticGraph, signed: bool = True) -> np.ndarray:
+    """Ascending eigenvalues of ``magnetic_laplacian(g, signed)``, solved once
+    per graph and signedness (the same complex ``eigh`` as ``spectral_data``);
+    the array is read-only. Only these n floats are kept, never the n x n
+    eigenvectors."""
+
+    def solve():
+        lam = spectral_data(g, signed=signed).eigenvalues
+        lam.flags.writeable = False
+        return lam
+
+    return g.memo(("eigenvalues", bool(signed)), solve)
 
 
 def _decay(eigenvalues: np.ndarray, t: float) -> np.ndarray:
@@ -180,13 +194,17 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) ->
     """Heat-trace bound sum_j e^{-lambda_j t} <= C_delta vol / t^{delta/2},
     plus the per-vertex diagonal bound K_t(u,u) <= C_delta mu(u) / t^{delta/2}."""
     c_big = trace_bound_constant(delta, c_delta, g.max_mu_degree())
+    t_grid = tuple(t_grid)
+    for t in t_grid:
+        if not math.isfinite(t):
+            raise MagnetoError("NONFINITE_TIME", f"t must be finite, got {t}")
+        if t <= 0:
+            raise MagnetoError("BAD_DELTA", "t grid must be positive")
     vol = g.volume(g.full_mask())
     sd = spectral_data(g)
     entries = []
     ok = True
     for t in t_grid:
-        if t <= 0:
-            raise MagnetoError("BAD_DELTA", "t grid must be positive")
         decay = _decay(sd.eigenvalues, t)
         lhs = float(np.sum(decay))
         rhs = c_big * vol / t ** (delta / 2.0)
@@ -201,11 +219,10 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) ->
 def eigenvalue_lower_bound_check(g: MagneticGraph, delta: float, c_delta: float,
                                  k_index: int) -> dict:
     """lambda_k >= (delta / 2e) (k / (C_delta vol))^{2/delta}."""
-    c_big = trace_bound_constant(delta, c_delta, g.max_mu_degree())
-    sd = spectral_data(g)
     if not 1 <= k_index <= g.n:
         raise MagnetoError("BAD_INDEX", f"k must lie in 1..{g.n}")
+    c_big = trace_bound_constant(delta, c_delta, g.max_mu_degree())
     vol = g.volume(g.full_mask())
     bound = (delta / (2.0 * math.e)) * (k_index / (c_big * vol)) ** (2.0 / delta)
-    lam_k = float(sd.eigenvalues[k_index - 1])
+    lam_k = float(eigenvalues(g)[k_index - 1])
     return {"ok": lam_k >= bound - DEFAULT_TOL.pointwise, "lambda_k": lam_k, "bound": bound}

@@ -1,6 +1,6 @@
 """Exact frustration is computed once per graph and subset; the subset search
-also keeps heuristic values per subset, restart count and seed, and heat
-kernels are kept per time and signedness."""
+also keeps heuristic values per subset, restart count and seed, heat kernels
+are kept per time and signedness, and eigenvalues per signedness."""
 
 import io
 from collections import Counter
@@ -11,14 +11,16 @@ import pytest
 
 import magneto.frustration
 import magneto.spectral
-from conftest import random_graph
+from conftest import random_graph, random_unbalanced_graph
 from magneto import (
     MagnetoError,
     cheeger_constant,
+    eigenvalue_lower_bound_check,
     frustration_exact,
     graph_from_json,
     heat_kernel,
     isoperimetric_constant,
+    spectral_data,
 )
 from magneto.cli import main
 
@@ -70,10 +72,7 @@ def test_memo_keeps_the_budget_check():
     assert err.value.code == "BUDGET_EXCEEDED"
 
 
-def test_domination_suite_solves_each_heat_kernel_once(tmp_path, monkeypatch):
-    g = random_graph(np.random.default_rng(8), 8, 3)
-    path = tmp_path / "g.json"
-    path.write_text(g.to_json())
+def counted_eigendecompositions(monkeypatch):
     solves = []
     solve = magneto.spectral.eigendecomposition
 
@@ -82,6 +81,14 @@ def test_domination_suite_solves_each_heat_kernel_once(tmp_path, monkeypatch):
         return solve(h)
 
     monkeypatch.setattr(magneto.spectral, "eigendecomposition", counted)
+    return solves
+
+
+def test_domination_suite_solves_each_heat_kernel_once(tmp_path, monkeypatch):
+    g = random_graph(np.random.default_rng(8), 8, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    solves = counted_eigendecompositions(monkeypatch)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["verify", str(path), "--suite", "domination", "--trials", "5"])
     assert code == 0
@@ -100,3 +107,47 @@ def test_memoized_heat_kernels_match_a_fresh_graph():
                                                              t, signed=signed).matrix)
     assert not np.array_equal(heat_kernel(g, 0.5).matrix,
                               heat_kernel(g, 0.5, signed=False).matrix)
+
+
+def test_eigenvalues_are_solved_once_and_read_only(monkeypatch):
+    g = random_graph(np.random.default_rng(12), 9, 4)
+    solves = counted_eigendecompositions(monkeypatch)
+    lam = magneto.spectral.eigenvalues(g)
+    assert magneto.spectral.eigenvalues(g) is lam
+    assert len(solves) == 1
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0] = 1.0
+    plain = magneto.spectral.eigenvalues(g, signed=False)
+    assert len(solves) == 2
+    assert not np.array_equal(lam, plain)
+    for signed, values in ((True, lam), (False, plain)):
+        assert np.array_equal(values, spectral_data(g, signed=signed).eigenvalues)
+
+
+def test_all_k_eigenvalue_bounds_solve_once(monkeypatch):
+    g = random_unbalanced_graph(np.random.default_rng(13), 9, 4)
+    c3 = isoperimetric_constant(g, 3.0).constant
+    solves = counted_eigendecompositions(monkeypatch)
+    with pytest.raises(MagnetoError) as err:
+        eigenvalue_lower_bound_check(g, 3.0, c3, g.n + 1)
+    assert err.value.code == "BAD_INDEX"
+    assert not solves  # a bad k costs no solve and fills no memo
+    warm = [eigenvalue_lower_bound_check(g, 3.0, c3, k) for k in range(1, g.n + 1)]
+    assert len(solves) == 1
+    lam = spectral_data(g).eigenvalues
+    for k, rep in enumerate(warm, start=1):
+        assert rep == eigenvalue_lower_bound_check(graph_from_json(g.to_json()), 3.0, c3, k)
+        assert rep["lambda_k"] == lam[k - 1]
+
+
+def test_trace_suite_solves_at_most_twice(tmp_path, monkeypatch):
+    g = random_unbalanced_graph(np.random.default_rng(14), 9, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    solves = counted_eigendecompositions(monkeypatch)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        main(["verify", str(path), "--suite", "trace"])
+    assert "eigenvalue_ok" in out.getvalue()  # not skipped as balanced
+    assert 1 <= len(solves) <= 2

@@ -5,8 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import magneto.spectral
 from conftest import cycle_graph, random_graph, random_vertex_function, sorted_eigs
+from laplacian_oracle import loop_laplacian
 from magneto import (
     MagnetoError,
     SwitchingAssignment,
@@ -24,6 +28,8 @@ from magneto import (
     trace_bound_check,
     trace_bound_constant,
 )
+from magneto.graph import MagneticGraph
+from magneto.groups import CIRCLE, CYCLIC, TWO_PI
 
 
 def c4_minus(mu=None):
@@ -48,6 +54,48 @@ def test_laplacian_is_hermitian_and_residual_small():
         assert sd.residual < 1e-9
         gram = sd.eigenvectors.conj().T @ sd.eigenvectors
         assert np.abs(gram - np.eye(g.n)).max() < 1e-9
+
+
+@st.composite
+def laplacian_graphs(draw):
+    """Graph on 1..9 vertices with a cyclic or circle signature. Edges have any
+    density and are stored in either orientation; weights and measures are all
+    1, uniform on [0.5, 2], or log-uniform on [1e-3, 1e3]. Circle angles are
+    often multiples of pi/2, whose signature values have zero parts."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    m = len(pairs)
+    if draw(st.booleans()):
+        kind, order = CYCLIC, draw(st.integers(2, 6))
+        sig = rng.integers(0, order, size=m)
+    else:
+        kind, order = CIRCLE, None
+        sig = np.where(rng.random(m) < 0.5, rng.integers(0, 4, size=m) * (TWO_PI / 4),
+                       rng.uniform(0.0, TWO_PI, size=m))
+    spread = draw(st.sampled_from(["unit", "near", "wide"]))
+
+    def draw_scales(size):
+        if spread == "unit":
+            return np.ones(size)
+        if spread == "near":
+            return rng.uniform(0.5, 2.0, size)
+        return 10.0 ** rng.uniform(-3.0, 3.0, size)
+
+    eu = [u for u, _ in pairs]
+    ev = [v for _, v in pairs]
+    return MagneticGraph(n, eu, ev, draw_scales(m), kind, order, sig, draw_scales(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=laplacian_graphs())
+def test_laplacian_matches_the_loop_oracle(g):
+    for signed in (True, False):
+        lap, want = magnetic_laplacian(g, signed=signed), loop_laplacian(g, signed=signed)
+        assert lap.shape == want.shape and lap.dtype == want.dtype
+        assert lap.tobytes() == want.tobytes()
 
 
 def test_spectrum_in_envelope():
@@ -165,6 +213,22 @@ def test_trace_and_eigenvalue_bounds_on_c4_minus():
         assert out["lambda_k"] >= out["bound"] - 1e-10
     with pytest.raises(MagnetoError):
         eigenvalue_lower_bound_check(g, 3.0, c3, 5)
+
+
+@pytest.mark.parametrize("t_grid, code", [
+    ((1.0, math.nan), "NONFINITE_TIME"),
+    ((math.inf,), "NONFINITE_TIME"),
+    ((0.0,), "BAD_DELTA"),
+    ((1.0, -1.0), "BAD_DELTA"),
+])
+def test_trace_bound_rejects_bad_times_before_solving(t_grid, code, monkeypatch):
+    def no_solve(h):
+        raise AssertionError("the t grid is validated before any eigensolve")
+
+    monkeypatch.setattr(magneto.spectral, "eigendecomposition", no_solve)
+    with pytest.raises(MagnetoError) as err:
+        trace_bound_check(c4_minus(), 3.0, 0.5, t_grid)
+    assert err.value.code == code
 
 
 def test_trace_bound_at_large_t_is_finite():
