@@ -13,6 +13,8 @@ from .graph import (
 )
 from .frustration import (
     FrustrationResult,
+    PackedCycle,
+    frustrated_cycle_packing,
     frustration_cycle_oracle,
     frustration_exact,
     frustration_heuristic,

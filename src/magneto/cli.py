@@ -10,6 +10,7 @@ time is therefore reported on stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -281,7 +282,9 @@ class _Parser(argparse.ArgumentParser):
         raise MagnetoError("USAGE", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = _Parser(prog="magneto")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,7 +9,9 @@ yields an upper bound. Its restarts are the rows of arrays, in blocks of
 bounded size, that every sweep updates at once; each row's per-vertex step
 stays a (k, deg) @ (deg,) matmul, since on unit weights the BLAS rounding of
 that product breaks ties, and perfbench's check of h_upper on the c4 x c4
-torus depends on those ties.
+torus depends on those ties. ``frustrated_cycle_packing`` bounds the index
+from below: a greedy packing of edge-disjoint frustrated cycles, each of
+which costs every switching at least its least weight times |1 - sigma(C)|.
 """
 
 from __future__ import annotations
@@ -94,11 +96,16 @@ def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) ->
     return g.memo(("frustration_exact", mask), lambda: _solve_exact(g, mask, comps))
 
 
-def _solve_exact(g: MagneticGraph, mask: int, comps: list) -> FrustrationResult:
-    k = g.group_order
-    # |1 - xi^j| = |1 - xi^(k-j)| as floats too, so exact ties stay ties
+def _dist_table(k: int) -> np.ndarray:
+    """|1 - xi^j| for j = 0..k-1. It equals |1 - xi^(k-j)| as a float too,
+    so exact ties stay ties."""
     j = np.arange(k)
-    dist = 2.0 * np.sin(np.pi * np.minimum(j, k - j) / k)
+    return 2.0 * np.sin(np.pi * np.minimum(j, k - j) / k)
+
+
+def _solve_exact(g: MagneticGraph, mask: int, comps: tuple) -> FrustrationResult:
+    k = g.group_order
+    dist = _dist_table(k)
     total = 0.0
     evaluations = 0
     assignment = {}
@@ -321,3 +328,87 @@ def frustration_heuristic(
     else:
         tau = SwitchingAssignment.from_angles(verts, [assignment[u] for u in verts])
     return FrustrationResult(total, tau, False, evaluations)
+
+
+@dataclass(frozen=True)
+class PackedCycle:
+    vertices: tuple  # in walk order; an edge joins the last vertex to the first
+    mask: int
+    value: float  # least weight on the cycle times |1 - sigma(C)|
+
+
+def frustrated_cycle_packing(g: MagneticGraph) -> tuple:
+    """Edge-disjoint frustrated cycles whose values bound iota from below.
+
+    For a cycle C inside S, sum over its edges of w |tau(u) - s tau(v)| is at
+    least min_C w |1 - sigma(C)| by the triangle inequality along C, so
+    iota(S) is at least the sum of the values of the packed cycles whose
+    vertices all lie in S. The packing is greedy: it repeatedly takes a
+    shortest frustrated cycle among the remaining edges, then removes that
+    cycle's edges. Computed once per graph; empty for S^1 and for k = 1.
+    """
+    if g.group_kind != CYCLIC or g.group_order < 2:
+        return ()
+    return g.memo("cycle_packing", lambda: _pack_cycles(g))
+
+
+def _pack_cycles(g):
+    k = g.group_order
+    dist = _dist_table(k)
+    sig = g.sig.tolist()
+    # arcs[u]: (neighbour, edge index, signature exponent from u), in adjacency order
+    arcs = [[(v, idx, sig[idx] if stored else -sig[idx] % k) for v, idx, stored in nbrs]
+            for nbrs in g.adjacency()]
+    packing = []
+    while True:
+        walk = _shortest_frustrated_walk(arcs, k)
+        if walk is None or len(set(walk[0])) < len(walk[0]):  # the second cannot happen
+            return tuple(packing)
+        verts, edges, sigma = walk
+        mask = sum(1 << u for u in verts)
+        packing.append(PackedCycle(tuple(verts), mask, float(g.ew[edges].min() * dist[sigma])))
+        cut = set(edges)
+        arcs = [[arc for arc in out if arc[1] not in cut] for out in arcs]
+
+
+def _shortest_frustrated_walk(arcs, k):
+    """(vertices, edge indices, sigma) of a shortest closed walk along
+    ``arcs`` whose signature xi^sigma is not 1, or None; ties go to the lowest
+    root, then to BFS order.
+
+    A shortest one over all roots is a simple cycle: a repeated vertex would
+    split it into two shorter closed walks whose signatures multiply to its
+    own, so one of them would be frustrated.
+    """
+    best, limit = None, len(arcs) + 1  # a simple cycle has at most n edges
+    for root in range(len(arcs)):
+        walk = _frustrated_walk_from(arcs, k, root, limit)
+        if walk is not None:
+            best, limit = walk, len(walk[1])
+    return best
+
+
+def _frustrated_walk_from(arcs, k, root, limit):
+    """The first frustrated closed walk at ``root`` with fewer than ``limit``
+    edges, in the BFS order of the (vertex, exponent) states of the k-fold
+    cover from (root, 0), or None."""
+    parent = {(root, 0): None}
+    frontier = [(root, 0)]
+    for _ in range(limit - 1):
+        nxt = []
+        for state in frontier:
+            u, e = state
+            for v, idx, s in arcs[u]:
+                f = (e + s) % k
+                if v == root and f:
+                    verts, edges = [u], [idx]
+                    while parent[state] is not None:
+                        state, via = parent[state]
+                        verts.append(state[0])
+                        edges.append(via)
+                    return verts[::-1], edges[::-1], f
+                if (v, f) not in parent:
+                    parent[(v, f)] = (state, idx)
+                    nxt.append((v, f))
+        frontier = nxt
+    return None

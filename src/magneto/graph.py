@@ -175,8 +175,12 @@ class MagneticGraph:
         ind = self.indicator(mask)
         return np.nonzero(ind[self.eu] & ind[self.ev])[0]
 
-    def components_of(self, mask: int) -> list:
-        """Connected components (sorted vertex lists) of the induced subgraph."""
+    def components_of(self, mask: int) -> tuple:
+        """Connected components (sorted vertex tuples) of the induced subgraph,
+        found once per graph and mask."""
+        return self.memo(("components", mask), lambda: self._find_components(mask))
+
+    def _find_components(self, mask: int) -> tuple:
         verts = self.mask_vertices(mask)
         seen = set()
         comps = []
@@ -194,8 +198,8 @@ class MagneticGraph:
                     if (mask >> v) & 1 and v not in seen:
                         seen.add(v)
                         stack.append(v)
-            comps.append(sorted(comp))
-        return comps
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
     # -- gauge transformations ----------------------------------------------
 

@@ -3,20 +3,24 @@
 The constant is defined operationally as the minimum over nonempty subsets of
 (frustration + boundary) / volume^((delta-1)/delta), so balanced graphs give 0.
 Subsets are visited in increasing popcount, then increasing bitmask value, and
-the first minimizer is kept. The quotient at V seeds the threshold, and two
+the first minimizer is kept. The quotient at V seeds the threshold, and three
 lower bounds on a subset's quotient skip its frustration solve when they
 already exceed it:
 
 - the boundary bound boundary / volume^e, since frustration is nonnegative;
+- the cycle bound (packed + boundary) / volume^e, where packed sums
+  min_C w |1 - sigma(C)| over the graph's packed edge-disjoint frustrated
+  cycles C that lie inside S (``frustrated_cycle_packing``);
 - the spectral bound (lambda_1(L_S) vol / 2 + boundary) / volume^e. With
   f = tau 1_S every edge term |tau(u) - s tau(v)| is at most 2, and
   |x| >= x^2 / 2 there, so frustration(S) >= lambda_1(L_S) vol(S) / 2, where
   L_S is the mu-normalised magnetic Laplacian of the subgraph induced on S.
 
-Both prune only subsets whose bound strictly exceeds the threshold, so no tie
-is dropped, and a heuristic frustration is at least the true one, so neither
-changes a heuristic search either. A heuristic search reports the least
-spectral bound as a certified lower bound on the constant.
+Each prunes only subsets whose bound strictly exceeds the threshold, so no
+tie is dropped, and a heuristic frustration is at least the true one, so
+none changes a heuristic search either. A heuristic search reports the least
+of max(cycle bound, spectral bound) as a certified lower bound on the
+constant.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import MagnetoError
 from .frustration import (
     _CHUNK,
     DEFAULT_BUDGET,
+    frustrated_cycle_packing,
     frustration_exact,
     frustration_heuristic,
 )
@@ -55,10 +60,11 @@ class CutReport:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """What a search did with each nonempty subset; the last three sum to the first."""
+    """What a search did with each nonempty subset; the last four sum to the first."""
 
     subsets: int
     pruned_boundary: int
+    pruned_cycles: int
     pruned_spectral: int
     evaluated: int  # frustration solved (or looked up) and quotient formed
 
@@ -128,11 +134,25 @@ def _spectral_bounds(g: MagneticGraph, masks, pop, bnd, vol, exponent: float) ->
             # induced degrees: the weights to neighbours inside S
             lap[:, diag, diag] = weights[sub].sum(axis=2) / g.mu[verts]
             lam[rows] = np.linalg.eigvalsh(lap)[:, 0]
-    # numpy's array power and its scalar power round apart in a few percent
-    # of cases; the search forms its quotients with the scalar one, so a bound
-    # equal to a quotient in exact arithmetic cannot exceed it as a float
-    scale = np.array([v ** exponent for v in vol])
-    return (0.5 * np.maximum(lam - tol, 0.0) * vol + bnd) / scale
+    return (0.5 * np.maximum(lam - tol, 0.0) * vol + bnd) / _scalar_powers(vol, exponent)
+
+
+def _cycle_bounds(g: MagneticGraph, masks, bnd, vol, exponent: float) -> np.ndarray:
+    """(packed + boundary) / vol^exponent per subset mask, a lower bound on
+    its quotient, where packed sums the values of the graph's packed
+    frustrated cycles that lie inside the subset."""
+    packed = np.zeros(len(masks))
+    for cycle in frustrated_cycle_packing(g):
+        packed += cycle.value * (masks & cycle.mask == cycle.mask)
+    return (packed + bnd) / _scalar_powers(vol, exponent)
+
+
+def _scalar_powers(vol, exponent: float) -> np.ndarray:
+    """vol ** exponent, one scalar power at a time. numpy's array power and
+    its scalar power round apart in a few percent of cases; the search forms
+    its quotients with the scalar one, so a bound equal to a quotient in exact
+    arithmetic cannot exceed it as a float."""
+    return np.array([v ** exponent for v in vol])
 
 
 def _minimize_quotient(
@@ -165,23 +185,31 @@ def _minimize_quotient(
     order = np.lexsort((masks, pop))
     # quotient at V (boundary 0) seeds the pruning threshold
     seed_quot = float(frustration_of(g.full_mask()).value / vol[-1] ** exponent)
-    # Two array passes drop the subsets whose boundary bound, then spectral
-    # bound, exceeds the threshold; the slack keeps a superset of the loop's
-    # survivors, and the loop's test still decides. A subset the boundary pass
-    # drops has a quotient above seed_quot, the quotient at V, so the least
-    # spectral bound over the boundary survivors (V among them) is a lower
-    # bound on the constant. Only an exact profiled search needs neither.
+    # Three array passes drop the subsets whose boundary bound, then cycle
+    # bound, then spectral bound exceeds the threshold; the slack keeps a
+    # superset of the loop's survivors, and the loop's test still decides. A
+    # subset the boundary pass drops has a quotient above seed_quot, the
+    # quotient at V, so the least of max(cycle bound, spectral bound) over
+    # the boundary survivors (V among them) is a lower bound on the constant.
+    # A subset the cycle pass drops has a cycle bound above the threshold,
+    # which V's bounds do not exceed, so the spectral bound is not needed
+    # there. Only an exact profiled search needs no bound.
     threshold = seed_quot * (1 + 1e-9)
     survivors = order[bnd[order] / vol[order] ** exponent <= threshold]
-    spectral = None
+    bounds = None
+    pruned_cycles = pruned_spectral = 0
     if heuristic or not profile:
+        s_masks, s_pop, s_bnd, s_vol = (a[survivors] for a in (masks, pop, bnd, vol))
+        bounds = _cycle_bounds(g, s_masks, s_bnd, s_vol, exponent)
+        kept = np.arange(len(survivors)) if profile else np.flatnonzero(bounds <= threshold)
         spectral = _spectral_bounds(
-            g, masks[survivors], pop[survivors], bnd[survivors], vol[survivors], exponent
+            g, s_masks[kept], s_pop[kept], s_bnd[kept], s_vol[kept], exponent
         )
-    pruned_spectral = 0
-    if not profile:
-        order = survivors[spectral <= threshold]
-        pruned_spectral = len(survivors) - len(order)
+        bounds[kept] = np.maximum(bounds[kept], spectral)
+        if not profile:
+            order = survivors[kept[spectral <= threshold]]
+            pruned_cycles = len(survivors) - len(kept)
+            pruned_spectral = len(kept) - len(order)
 
     best = math.inf
     argmin = None
@@ -202,10 +230,9 @@ def _minimize_quotient(
             reports.append(cut)
         if quot < best:
             best, argmin = quot, cut
-    stats = SearchStats(
-        len(masks), len(masks) - pruned_spectral - evaluated, pruned_spectral, evaluated
-    )
-    lower_bound = float(spectral.min()) if heuristic else best
+    pruned_boundary = len(masks) - pruned_cycles - pruned_spectral - evaluated
+    stats = SearchStats(len(masks), pruned_boundary, pruned_cycles, pruned_spectral, evaluated)
+    lower_bound = float(bounds.min()) if heuristic else best
     return IsoperimetricResult(
         delta, best, argmin, lower_bound, stats, reports, exact=not heuristic
     )

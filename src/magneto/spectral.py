@@ -78,12 +78,13 @@ def eigenvalues(g: MagneticGraph, signed: bool = True) -> np.ndarray:
     the array is read-only. Only these n floats are kept, never the n x n
     eigenvectors."""
 
-    def solve():
-        lam = spectral_data(g, signed=signed).eigenvalues
-        lam.flags.writeable = False
-        return lam
+    return g.memo(("eigenvalues", bool(signed)),
+                  lambda: _read_only(spectral_data(g, signed=signed).eigenvalues))
 
-    return g.memo(("eigenvalues", bool(signed)), solve)
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _decay(eigenvalues: np.ndarray, t: float) -> np.ndarray:
@@ -192,7 +193,9 @@ def trace_bound_constant(delta: float, c_delta: float, d_mu: float) -> float:
 
 def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) -> dict:
     """Heat-trace bound sum_j e^{-lambda_j t} <= C_delta vol / t^{delta/2},
-    plus the per-vertex diagonal bound K_t(u,u) <= C_delta mu(u) / t^{delta/2}."""
+    plus the per-vertex diagonal bound K_t(u,u) <= C_delta mu(u) / t^{delta/2}.
+    Its eigendecomposition also fills the graph's eigenvalue memo, so a later
+    ``eigenvalues(g)`` does not solve again."""
     c_big = trace_bound_constant(delta, c_delta, g.max_mu_degree())
     t_grid = tuple(t_grid)
     for t in t_grid:
@@ -202,6 +205,8 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) ->
             raise MagnetoError("BAD_DELTA", "t grid must be positive")
     vol = g.volume(g.full_mask())
     sd = spectral_data(g)
+    # the eigenvalue memo takes its values from this solve when it has none
+    g.memo(("eigenvalues", True), lambda: _read_only(sd.eigenvalues))
     entries = []
     ok = True
     for t in t_grid:

@@ -219,6 +219,23 @@ def test_help_exits_zero(capsys):
     assert "usage: magneto" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; a usage error or --help leaves
+    # it fit for the next call, whose stdout does not change
+    import magneto.cli
+
+    assert magneto.cli.build_parser() is magneto.cli.build_parser()
+    path = write_graph(tmp_path, cycle_graph(5, 3, 1))
+    assert main(["cheeger", path]) == 0
+    first = capsys.readouterr().out
+    code, rep, _ = run(capsys, ["cheeger", path, "--junk"])
+    assert (code, rep["results"]["error"]) == (1, "USAGE")
+    assert main(["cheeger", "--help"]) == 0
+    capsys.readouterr()
+    assert main(["cheeger", path]) == 0
+    assert capsys.readouterr().out == first
+
+
 @pytest.mark.parametrize("t", ["1e20", "1e308"])
 def test_heat_at_large_t_is_finite(tmp_path, capsys, t):
     # the unsigned Laplacian's lowest eigenvalue comes out just below 0, and

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magneto.isoperimetry
-from conftest import cycle_graph, k2_graph, random_graph
+from conftest import circle_cycle, cycle_graph, k2_graph, random_graph
 from frustration_oracle import enumerate_frustration
 from magneto import (
     GroupElement,
@@ -150,9 +150,11 @@ def test_pruned_and_profiled_runs_agree(case):
             assert fast.constant == slow.constant
             assert fast.argmin.subset == slow.argmin.subset
             assert fast.lower_bound == slow.lower_bound
-            assert slow.stats == magneto.isoperimetry.SearchStats(2**g.n - 1, 0, 0, 2**g.n - 1)
+            assert slow.stats == magneto.isoperimetry.SearchStats(
+                2**g.n - 1, 0, 0, 0, 2**g.n - 1)
             stats = fast.stats
-            assert stats.pruned_boundary + stats.pruned_spectral + stats.evaluated == stats.subsets
+            assert stats.pruned_boundary + stats.pruned_cycles + stats.pruned_spectral \
+                + stats.evaluated == stats.subsets
             if heuristic:
                 assert 0.0 <= fast.lower_bound <= exact_h
                 assert fast.constant == 0.0 or balance != "trivial"
@@ -194,14 +196,27 @@ def no_spectral_bound(g, masks, pop, bnd, vol, exponent):
     return np.full(len(masks), -np.inf)
 
 
-def test_spectral_filter_keeps_the_torus_search():
-    # the benchmark's heuristic c4 x c4 torus, with and without the filter; at
-    # delta = 3 the filter prunes none of its subsets
+def no_cycles():
+    """The search without the cycle filter: an empty packing, so that a test
+    sees the spectral filter alone."""
+    return mock.patch.object(magneto.isoperimetry, "frustrated_cycle_packing", lambda g: ())
+
+
+def torus():
+    """The benchmark's c4 x c4 torus (k = 4) and its heuristic search options."""
     c4 = cycle_graph(4, 4, 1)
-    kw = {"heuristic": True, "subset_limit": 16, "restarts": 4}
-    fast = cheeger_constant(cartesian_product_many([c4, c4]), **kw)
-    with mock.patch.object(magneto.isoperimetry, "_spectral_bounds", no_spectral_bound):
-        slow = cheeger_constant(cartesian_product_many([c4, c4]), **kw)
+    return cartesian_product_many([c4, c4]), {"heuristic": True, "subset_limit": 16,
+                                               "restarts": 4}
+
+
+def test_spectral_filter_keeps_the_torus_search():
+    # the heuristic torus search without the cycle filter, with and without
+    # the spectral one; at delta = 3 the filter prunes none of its subsets
+    g, kw = torus()
+    with no_cycles():
+        fast = cheeger_constant(g, **kw)
+        with mock.patch.object(magneto.isoperimetry, "_spectral_bounds", no_spectral_bound):
+            slow = cheeger_constant(torus()[0], **kw)
     assert (fast.stats.pruned_spectral, slow.stats.pruned_spectral) == (120, 0)
     assert fast.constant == slow.constant
     assert fast.argmin == slow.argmin
@@ -229,12 +244,101 @@ def test_spectral_filter_keeps_the_c3c3k2_search(c3c3k2_searches, heuristic, del
 
 
 def test_spectral_filter_prunes_most_c3c3k2_subsets(c3c3k2_searches):
-    # 7,578 subsets pass the boundary test; solving each was the old cost
-    stats = c3c3k2_searches[(False, math.inf)].stats
+    # 7,578 subsets pass the boundary test; solving each was the old cost.
+    # Without the cycle filter, the spectral one drops most of them
+    g = cartesian_product_many([cycle_graph(3, 2, 1), cycle_graph(3, 2, 1), k2_graph(2, 1)])
+    with no_cycles():
+        res = cheeger_constant(g, subset_limit=18)
+    assert res.constant == c3c3k2_searches[(False, math.inf)].constant
+    stats = res.stats
     assert stats.subsets == 2**18 - 1
+    assert stats.pruned_cycles == 0
     assert stats.subsets - stats.pruned_boundary <= 7578
     assert stats.pruned_spectral >= 7000
-    assert stats.pruned_boundary + stats.pruned_spectral + stats.evaluated == stats.subsets
+    assert stats.pruned_boundary + stats.pruned_cycles + stats.pruned_spectral \
+        + stats.evaluated == stats.subsets
+
+
+@pytest.mark.parametrize("heuristic", [False, True])
+@pytest.mark.parametrize("delta", [math.inf, 3.0])
+def test_cycle_filter_solves_only_v_on_c3c3k2(c3c3k2_searches, heuristic, delta):
+    # the 12 triangles pack edge-disjointly, 2 each, and sum to iota(V) = 24,
+    # so the cycle bound reaches the constant at V and exceeds it elsewhere
+    res = c3c3k2_searches[(heuristic, delta)]
+    assert res.stats.evaluated == 1
+    assert res.stats.pruned_spectral == 0
+    assert res.lower_bound == res.constant
+
+
+def test_cycle_filter_solves_only_v_on_the_torus():
+    # the 4 rows and 4 columns of the torus each carry |1 - i| = sqrt 2
+    g, kw = torus()
+    packing = magneto.isoperimetry.frustrated_cycle_packing(g)
+    assert sorted(len(c.vertices) for c in packing) == [4] * 8
+    fast = cheeger_constant(g, **kw)
+    with no_cycles():
+        slow = cheeger_constant(torus()[0], **kw)
+    assert fast.stats.evaluated == 1
+    assert fast.constant == slow.constant
+    assert fast.argmin == slow.argmin
+    assert fast.argmin.subset == tuple(range(16))
+    assert fast.lower_bound == fast.constant
+    assert slow.lower_bound < fast.lower_bound
+
+
+def packed_bound(packing, mask):
+    return sum(c.value for c in packing if mask & c.mask == c.mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=search_graphs(7))
+def test_cycle_bound_lies_below_frustration(case):
+    # on every subset S, the packed cycles inside S sum to at most iota(S);
+    # a graph has a frustrated cycle to pack exactly when it is unbalanced
+    g, _ = case
+    packing = magneto.isoperimetry.frustrated_cycle_packing(g)
+    assert (not packing) == g.is_balanced()[0]
+    masks, _, vol, _ = magneto.isoperimetry._subset_tables(g)
+    bound = magneto.isoperimetry._cycle_bounds(g, masks, np.zeros(len(masks)), vol, 1.0) * vol
+    for mask, b in zip(masks.tolist(), bound):
+        iota = enumerate_frustration(g, mask)[0]
+        assert b == pytest.approx(packed_bound(packing, mask), rel=1e-15, abs=0.0)
+        assert b <= iota * (1 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=search_graphs(8))
+def test_packed_cycles_are_simple_disjoint_and_frustrated(case):
+    g, _ = case
+    edge_of = {frozenset((int(u), int(v))): e for e, (u, v) in enumerate(zip(g.eu, g.ev))}
+    used = set()
+    lengths = []
+    for cycle in magneto.isoperimetry.frustrated_cycle_packing(g):
+        verts = cycle.vertices
+        assert len(verts) >= 3 and len(set(verts)) == len(verts)
+        assert cycle.mask == g.as_mask(verts)
+        sigma = g.cycle_signature(verts)  # raises unless consecutive vertices are adjacent
+        assert not sigma.is_identity()
+        edges = {edge_of[frozenset((u, verts[(i + 1) % len(verts)]))]
+                 for i, u in enumerate(verts)}
+        assert len(edges) == len(verts) and not edges & used
+        used |= edges
+        assert cycle.value == pytest.approx(min(g.ew[list(edges)]) * sigma.dist_to_one(),
+                                            rel=1e-12)
+        lengths.append(len(verts))
+    # removing edges never shortens the shortest frustrated cycle
+    assert lengths == sorted(lengths)
+
+
+def test_circle_and_trivial_groups_pack_nothing():
+    circle = circle_cycle(4, [0.0, 0.0, 0.0, math.pi / 2.0])
+    assert magneto.isoperimetry.frustrated_cycle_packing(circle) == ()
+    res = cheeger_constant(circle, heuristic=True, restarts=2)
+    assert res.stats.pruned_cycles == 0
+    assert 0.0 <= res.lower_bound <= res.constant
+    trivial = cycle_graph(4, 1, 0)
+    assert magneto.isoperimetry.frustrated_cycle_packing(trivial) == ()
+    assert cheeger_constant(trivial).constant == 0.0
 
 
 def test_heuristic_lower_bound_certifies_the_product_lower_side(c3c3k2_searches):

@@ -72,6 +72,30 @@ def test_memo_keeps_the_budget_check():
     assert err.value.code == "BUDGET_EXCEEDED"
 
 
+def test_components_are_found_once_per_mask(monkeypatch):
+    # a memo hit skips the component search, and a smaller budget still fails
+    g = random_graph(np.random.default_rng(3), 7, 3)
+    searches = Counter()
+    find = g._find_components
+
+    def counted(mask):
+        searches[mask] += 1
+        return find(mask)
+
+    monkeypatch.setattr(g, "_find_components", counted)
+    for _ in range(3):
+        for mask in range(1, 1 << g.n):
+            frustration_exact(g, mask)
+    assert set(searches) == set(range(1, 1 << g.n))
+    assert max(searches.values()) == 1
+    comps = g.components_of(g.full_mask())
+    assert comps == (tuple(range(g.n)),) and comps is g.components_of(g.full_mask())
+    with pytest.raises(MagnetoError) as err:
+        frustration_exact(g, g.full_mask(), budget=3 ** (g.n - 1) - 1)
+    assert err.value.code == "BUDGET_EXCEEDED"
+    assert searches[g.full_mask()] == 1
+
+
 def counted_eigendecompositions(monkeypatch):
     solves = []
     solve = magneto.spectral.eigendecomposition
@@ -141,7 +165,7 @@ def test_all_k_eigenvalue_bounds_solve_once(monkeypatch):
         assert rep["lambda_k"] == lam[k - 1]
 
 
-def test_trace_suite_solves_at_most_twice(tmp_path, monkeypatch):
+def test_trace_suite_solves_once(tmp_path, monkeypatch):
     g = random_unbalanced_graph(np.random.default_rng(14), 9, 3)
     path = tmp_path / "g.json"
     path.write_text(g.to_json())
@@ -150,4 +174,17 @@ def test_trace_suite_solves_at_most_twice(tmp_path, monkeypatch):
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         main(["verify", str(path), "--suite", "trace"])
     assert "eigenvalue_ok" in out.getvalue()  # not skipped as balanced
-    assert 1 <= len(solves) <= 2
+    assert len(solves) == 1  # the trace check's solve fills the eigenvalue memo
+
+
+def test_trace_check_fills_the_eigenvalue_memo_from_its_solve(monkeypatch):
+    g = random_unbalanced_graph(np.random.default_rng(15), 8, 3)
+    c3 = isoperimetric_constant(g, 3.0).constant
+    solves = counted_eigendecompositions(monkeypatch)
+    magneto.spectral.trace_bound_check(g, 3.0, c3, (1.0,))
+    lam = magneto.spectral.eigenvalues(g)
+    assert len(solves) == 1
+    assert not lam.flags.writeable
+    assert np.array_equal(lam, spectral_data(graph_from_json(g.to_json())).eigenvalues)
+    magneto.spectral.trace_bound_check(g, 3.0, c3, (1.0,))  # a full memo stays as it is
+    assert magneto.spectral.eigenvalues(g) is lam
