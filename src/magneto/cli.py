@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -41,8 +42,20 @@ def _load_graph(path: str) -> MagneticGraph:
         return graph_from_json(fh.read())
 
 
-def _random_f(rng, n):
-    return rng.normal(size=n) + 1j * rng.normal(size=n)
+# vertex-function entries a suite draws and checks at once: a suite's memory
+# (about 80 bytes an entry) stays near 5 MiB for any --trials
+_TRIAL_ENTRIES = 1 << 16
+
+
+def _random_fs(seed: int, trials: int, n: int):
+    """``trials`` random complex vertex functions (none if ``trials`` is not
+    positive), as the rows of blocks of at most ``_TRIAL_ENTRIES`` entries (one
+    row at least); each row draws its real parts, then its imaginary parts."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, _TRIAL_ENTRIES // max(n, 1))
+    for start in range(0, trials, rows):
+        draws = rng.normal(size=(min(rows, trials - start), 2, n))
+        yield draws[:, 0] + 1j * draws[:, 1]
 
 
 def _tau_digest(tau) -> dict:
@@ -169,11 +182,10 @@ def cmd_oracle(args):
 
 
 def _suite_coarea(g, trials, seed, results):
-    rng = np.random.default_rng(seed)
     factor = functional._sobolev_factor(g)
     violations = 0
-    for _ in range(trials):
-        f = functional.normalize_vertex_function(_random_f(rng, g.n))
+    for f in chain.from_iterable(_random_fs(seed, trials, g.n)):
+        f = functional.normalize_vertex_function(f)
         lhs = functional.coarea_lhs(g, f, budget=_budget())
         rhs = factor * functional.signed_gradient_norm(g, f, 1.0)
         if lhs > rhs + 1e-9:
@@ -183,7 +195,6 @@ def _suite_coarea(g, trials, seed, results):
 
 
 def _suite_sobolev(g, trials, seed, delta, results):
-    rng = np.random.default_rng(seed)
     h = isoperimetry.cheeger_constant(g, budget=_budget()).constant
     c_delta = isoperimetry.isoperimetric_constant(g, delta, budget=_budget()).constant
     if h <= 0:
@@ -191,8 +202,7 @@ def _suite_sobolev(g, trials, seed, delta, results):
         return True
     p = 2.0 if delta > 2.0 else 0.5 * (1.0 + delta)
     violations = 0
-    for _ in range(trials):
-        f = _random_f(rng, g.n)
+    for f in chain.from_iterable(_random_fs(seed, trials, g.n)):
         checks = [
             functional.verify_sobolev(g, f, "iso_p1", delta=delta, c_delta=c_delta),
             functional.verify_sobolev(g, f, "iso_general", p=p, delta=delta, c_delta=c_delta),
@@ -207,22 +217,15 @@ def _suite_sobolev(g, trials, seed, delta, results):
 
 
 def _suite_kato(g, trials, seed, results):
-    rng = np.random.default_rng(seed)
-    violations = sum(
-        not spectral.kato_check(g, _random_f(rng, g.n)) for _ in range(trials)
-    )
+    violations = sum(int(np.count_nonzero(~spectral.kato_check(g, fs)))
+                     for fs in _random_fs(seed, trials, g.n))
     results["kato"] = {"trials": trials, "violations": violations}
     return violations == 0
 
 
 def _suite_domination(g, trials, seed, results):
-    rng = np.random.default_rng(seed)
-    violations = 0
-    for _ in range(trials):
-        f = _random_f(rng, g.n)
-        for t in (0.1, 1.0, 10.0):
-            if not spectral.domination_check(g, t, f):
-                violations += 1
+    violations = sum(int(np.count_nonzero(~spectral.domination_check(g, t, fs)))
+                     for fs in _random_fs(seed, trials, g.n) for t in (0.1, 1.0, 10.0))
     results["domination"] = {"trials": trials, "violations": violations}
     return violations == 0
 

@@ -303,8 +303,15 @@ def _heuristic_circle(g, comp_verts, edges, restarts, rng):
 def frustration_heuristic(
     g: MagneticGraph, subset, restarts: int = 8, seed: int = 0
 ) -> FrustrationResult:
-    """Coordinate-descent upper bound on the frustration index."""
+    """Coordinate-descent upper bound on the frustration index, computed once per
+    graph, subset, restart count and seed. Each solve seeds its own rng, so a
+    kept result is the one a fresh graph gives."""
     mask = g.as_mask(subset)
+    return g.memo(("frustration_heuristic", mask, restarts, seed),
+                  lambda: _solve_heuristic(g, mask, restarts, seed))
+
+
+def _solve_heuristic(g: MagneticGraph, mask: int, restarts: int, seed: int) -> FrustrationResult:
     rng = np.random.default_rng(seed)
     comps = g.components_of(mask)
     total = 0.0

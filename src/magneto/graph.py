@@ -38,11 +38,6 @@ class SwitchingAssignment:
         return self.values[u]
 
     @staticmethod
-    def trivial(vertices: Iterable[int], kind: str, order: int = 1) -> "SwitchingAssignment":
-        one = GroupElement.identity(kind, order)
-        return SwitchingAssignment({u: one for u in vertices})
-
-    @staticmethod
     def from_exponents(vertices: Sequence[int], exponents: Sequence[int], order: int) -> "SwitchingAssignment":
         return SwitchingAssignment(
             {u: GroupElement.cyclic(int(e), order) for u, e in zip(vertices, exponents)}

@@ -175,9 +175,8 @@ def _minimize_quotient(
         raise MagnetoError("CONTINUOUS_GROUP", "exact search needs a cyclic group")
 
     def frustration_of(mask):
-        if heuristic:  # deterministic: the heuristic seeds its own rng
-            return g.memo(("frustration_heuristic", mask, restarts, seed),
-                          lambda: frustration_heuristic(g, mask, restarts=restarts, seed=seed))
+        if heuristic:
+            return frustration_heuristic(g, mask, restarts=restarts, seed=seed)
         return frustration_exact(g, mask, budget=budget)
 
     exponent = _volume_exponent(delta)

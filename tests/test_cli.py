@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magneto.cli
+import magneto.spectral
 from conftest import cycle_graph, k2_graph
 from magneto import GroupElement, build_graph, graph_from_json
-from magneto.cli import main
+from magneto.cli import _random_fs, main
 
 
 def write_graph(tmp_path, g, name="g.json"):
@@ -119,6 +121,36 @@ def test_verify_suites(tmp_path, capsys):
     assert set(rep["results"]) == {
         "coarea", "sobolev", "kato", "domination", "trace", "product"
     }
+
+
+@pytest.mark.parametrize("trials", [-1, 0, 1, 5])
+@pytest.mark.parametrize("block", [2, 4096])
+def test_trial_functions_are_the_per_trial_draws(trials, block, monkeypatch):
+    # the oracle: one rng per suite, real parts then imaginary parts per trial;
+    # the draws come in blocks of `block` rows of 6 entries
+    rng = np.random.default_rng(7)
+    rows = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(trials)]
+    monkeypatch.setattr(magneto.cli, "_TRIAL_ENTRIES", 6 * block + 5)
+    blocks = list(_random_fs(7, trials, 6))
+    assert [len(b) for b in blocks] == [len(rows[i:i + block])
+                                        for i in range(0, max(trials, 0), block)]
+    assert all(b.shape[1:] == (6,) and b.dtype == complex for b in blocks)
+    assert b"".join(b.tobytes() for b in blocks) == np.array(rows, dtype=complex).tobytes()
+
+
+def test_suite_counts_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+    # stand-in verdicts that fail some rows, so that the counts are not 0
+    monkeypatch.setattr(magneto.spectral, "kato_check", lambda g, fs: fs.real[:, 0] > 0)
+    monkeypatch.setattr(magneto.spectral, "domination_check",
+                        lambda g, t, fs: fs.imag[:, 0] > t - 1.0)
+    path = write_graph(tmp_path, cycle_graph(5, 3, 1))
+    reports = []
+    for entries in (1 << 16, 10):  # 2 rows of 5 entries a block
+        monkeypatch.setattr(magneto.cli, "_TRIAL_ENTRIES", entries)
+        reports.append(run(capsys, ["verify", path, "--suite", "all", "--trials", "9"])[1])
+    assert reports[0] == reports[1]
+    assert reports[0]["results"]["kato"]["violations"] > 0
+    assert reports[0]["results"]["domination"]["violations"] > 0
 
 
 def test_verify_skips_balanced_sobolev(tmp_path, capsys):

@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coarea_oracle import levelwise_coarea_lhs
 from conftest import circle_cycle, cycle_graph, random_graph, random_unbalanced_graph
 from key_quadrature_oracle import key_average_quadrature, quadrature_bound
 from magneto import (
+    GroupElement,
     MagnetoError,
     bernoulli_check,
+    build_graph,
     cheeger_constant,
     coarea_lhs,
     complex_power,
@@ -143,9 +148,32 @@ def test_coarea_inequality_random():
         assert coarea_lhs(g, f) <= 3.0 * signed_gradient_norm(g, f, 1.0) + 1e-9
 
 
-def test_gradient_norm_orientation_invariant():
-    from magneto import GroupElement, build_graph
+@st.composite
+def coarea_cases(draw):
+    """(graph, f) with max |f| = 1. The moduli come from a short list that
+    holds 0 and 1, so |f| has ties and zeros, and may have one level only."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), max_size=2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v, float(rng.uniform(0.5, 2.0)), GroupElement.cyclic(int(rng.integers(k)), k))
+             for u, v in sorted(pairs)]
+    g = build_graph(n, edges, rng.uniform(0.5, 2.0, size=n))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)) + [0.0, 1.0]
+    moduli = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    moduli[draw(st.integers(0, n - 1))] = 1.0
+    return g, moduli * np.exp(1j * rng.uniform(0.0, math.tau, size=n))
 
+
+@settings(max_examples=100, deadline=None)
+@given(case=coarea_cases())
+def test_closed_form_coarea_matches_the_levelwise_oracle(case):
+    g, f = case
+    assert coarea_lhs(g, f) == pytest.approx(levelwise_coarea_lhs(g, f), rel=1e-12, abs=0.0)
+
+
+def test_gradient_norm_orientation_invariant():
     a = build_graph(2, [(0, 1, 1.5, GroupElement.cyclic(1, 4))])
     b = build_graph(2, [(1, 0, 1.5, GroupElement.cyclic(3, 4))])
     f = np.array([1.0 + 0.3j, -0.2 + 1j])

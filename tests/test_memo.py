@@ -1,6 +1,7 @@
-"""Exact frustration is computed once per graph and subset; the subset search
-also keeps heuristic values per subset, restart count and seed, heat kernels
-are kept per time and signedness, and eigenvalues per signedness."""
+"""Exact frustration is computed once per graph and subset, heuristic
+frustration once per graph, subset, restart count and seed, and eigenvalues
+once per graph and signedness. Heat kernels are not kept: the verify suites
+ask for each one once."""
 
 import io
 from collections import Counter
@@ -17,8 +18,8 @@ from magneto import (
     cheeger_constant,
     eigenvalue_lower_bound_check,
     frustration_exact,
+    frustration_heuristic,
     graph_from_json,
-    heat_kernel,
     isoperimetric_constant,
     spectral_data,
 )
@@ -62,6 +63,20 @@ def test_memoized_results_match_a_fresh_graph():
     isoperimetric_constant(g, 3.0)
     for mask in range(1, 1 << g.n):
         assert frustration_exact(g, mask) == frustration_exact(fresh(), mask)
+
+
+def test_heuristic_frustration_is_kept_per_subset_restarts_and_seed():
+    g = random_unbalanced_graph(np.random.default_rng(6), 8, 4)
+    first = frustration_heuristic(g, g.full_mask(), restarts=2, seed=3)
+    assert frustration_heuristic(g, g.full_mask(), restarts=2, seed=3) is first
+    assert frustration_heuristic(g, list(range(g.n)), restarts=2, seed=3) is first
+    others = [frustration_heuristic(g, g.full_mask(), restarts=r, seed=s)
+              for r, s in ((2, 4), (3, 3))]
+    assert all(res is not first for res in others)
+    assert frustration_heuristic(g, g.full_mask() >> 1, restarts=2, seed=3) is not first
+    fresh = graph_from_json(g.to_json())
+    for (r, s), res in zip(((2, 3), (2, 4), (3, 3)), [first] + others):
+        assert frustration_heuristic(fresh, fresh.full_mask(), restarts=r, seed=s) == res
 
 
 def test_memo_keeps_the_budget_check():
@@ -113,24 +128,20 @@ def test_domination_suite_solves_each_heat_kernel_once(tmp_path, monkeypatch):
     path = tmp_path / "g.json"
     path.write_text(g.to_json())
     solves = counted_eigendecompositions(monkeypatch)
+    kernels = []
+    heat_kernel = magneto.spectral.heat_kernel
+
+    def counted(graph, t, signed=True):
+        kernels.append((t, signed))
+        return heat_kernel(graph, t, signed=signed)
+
+    monkeypatch.setattr(magneto.spectral, "heat_kernel", counted)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["verify", str(path), "--suite", "domination", "--trials", "5"])
     assert code == 0
     assert len(solves) == 6  # t in (0.1, 1, 10), signed and unsigned
-
-
-def test_memoized_heat_kernels_match_a_fresh_graph():
-    g = random_graph(np.random.default_rng(9), 7, 4)
-    for t in (0.0, 0.5, 2.0):
-        for signed in (True, False):
-            first = heat_kernel(g, t, signed=signed)
-            again = heat_kernel(g, t, signed=signed)
-            assert again.matrix is first.matrix and again.t == t
-            assert not first.matrix.flags.writeable
-            assert np.array_equal(first.matrix, heat_kernel(graph_from_json(g.to_json()),
-                                                             t, signed=signed).matrix)
-    assert not np.array_equal(heat_kernel(g, 0.5).matrix,
-                              heat_kernel(g, 0.5, signed=False).matrix)
+    assert sorted(kernels) == sorted({(t, signed) for t in (0.1, 1.0, 10.0)
+                                      for signed in (True, False)})
 
 
 def test_eigenvalues_are_solved_once_and_read_only(monkeypatch):

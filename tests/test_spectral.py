@@ -189,6 +189,22 @@ def test_kato_and_domination():
             assert domination_check(g, t, f)
 
 
+@pytest.mark.parametrize("trials", [0, 1, 7])
+def test_stacked_checks_give_the_single_function_verdicts(trials):
+    # one stack of rows, one verdict per row; a NaN entry fails both checks
+    rng = np.random.default_rng(109)
+    g = random_graph(rng, 6, 4)
+    fs = rng.normal(size=(trials, g.n)) + 1j * rng.normal(size=(trials, g.n))
+    fs[trials // 2:, 0] = np.nan
+    for check in (lambda f: kato_check(g, f), lambda f: domination_check(g, 1.0, f)):
+        verdicts = check(fs)
+        assert verdicts.shape == (trials,) and verdicts.dtype == bool
+        single = [check(f) for f in fs]
+        assert all(np.ndim(v) == 0 for v in single)
+        assert verdicts.tolist() == [bool(v) for v in single]
+        assert verdicts.tolist() == [i < trials // 2 for i in range(trials)]
+
+
 def test_trace_bound_constant_formula():
     val = trace_bound_constant(3.0, 0.5, 2.0)
     expected = (72.0 * 3.0 * 2.0) ** 1.5 / 0.5**3 * (2.0 / 1.0) ** 3
