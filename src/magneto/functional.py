@@ -1,6 +1,8 @@
 """Truncation functions, averaging lemmas, coarea integral and Sobolev checks.
 
-Vertex functions are plain complex numpy arrays of length n.
+Vertex functions are plain complex numpy arrays of length n. The coarea
+integral, the norms and the Sobolev checks also take a stack of them along the
+last axis and then give one value, or one verdict, per function.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MagnetoError
-from .frustration import DEFAULT_BUDGET, frustration_exact
+from .frustration import DEFAULT_BUDGET, _frustration_values, frustration_exact
 from .graph import MagneticGraph
 from .groups import CIRCLE, CYCLIC, TWO_PI
 from .isoperimetry import cheeger_constant, isoperimetric_constant
@@ -98,46 +100,83 @@ def key_average_circle_batch(z1, z2) -> np.ndarray:
 
 
 def normalize_vertex_function(f) -> np.ndarray:
+    """f / max|f|, for one vertex function or each of a stack of them along the
+    last axis; ZERO_FUNCTION if one of them is zero."""
     f = np.asarray(f, dtype=complex)
-    top = float(np.max(np.abs(f))) if len(f) else 0.0
-    if top == 0.0:
+    top = np.max(np.abs(f), axis=-1, keepdims=True, initial=0.0)
+    if np.any(top == 0.0):
         raise MagnetoError("ZERO_FUNCTION", "cannot normalize the zero function")
     return f / top
 
 
-def coarea_lhs(g: MagneticGraph, f, budget: int = DEFAULT_BUDGET) -> float:
-    """Exact integral over t of [iota(superlevel) + boundary(superlevel)].
+def _per_function(x):
+    """A float for one vertex function, the array of values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _root(x, r: float):
+    """x^(1/r) as an array operation even for one value: numpy's array power
+    may round differently from its scalar one, and one function must get what
+    its row of a stack gets."""
+    return _per_function(np.power(np.atleast_1d(x), 1.0 / r).reshape(np.shape(x)))
+
+
+def coarea_lhs(g: MagneticGraph, f, budget: int = DEFAULT_BUDGET):
+    """Exact integral over t of [iota(superlevel) + boundary(superlevel)], for
+    one vertex function (a float) or each row of a stack of them (an array).
 
     Requires max |f| = 1; the superlevel sets are {|f| >= t} (closed). Edge uv
     is cut exactly for t in (min, max] of |f(u)|, |f(v)|, so the boundary term
     integrates to sum_uv w_uv ||f(u)| - |f(v)||; the frustration term is
-    constant between consecutive distinct values of |f|.
+    constant between consecutive distinct values of |f|, and it is added level
+    by level in increasing order. The superlevel sets of all rows are solved
+    together, each distinct set once. Errors are those of the row-by-row
+    computation: the first row, then the first level of it, that fails.
     """
-    f = np.asarray(f, dtype=complex)
-    absf = np.abs(f)
-    if abs(float(np.max(absf)) - 1.0) > _DISK_TOL:
+    absf = np.abs(np.asarray(f, dtype=complex))
+    rows = np.atleast_2d(absf)
+    unnormalized = np.flatnonzero(np.abs(np.max(rows, axis=1, initial=0.0) - 1.0) > _DISK_TOL)
+    if len(unnormalized):  # the rows before it raise their own errors first
+        rows = rows[:unnormalized[0]]
+    srt = np.sort(rows, axis=1)
+    prev = np.zeros_like(srt)
+    prev[:, 1:] = srt[:, :-1]
+    level = srt > prev  # the distinct positive values of |f| (NaN is none)
+    r, j = np.nonzero(level)
+    members = rows[r] >= srt[r, j, None]
+    index = {}
+    which = np.array([index.setdefault(key, len(index))
+                      for key in map(bytes, np.packbits(members, axis=1))], dtype=np.intp)
+    distinct = np.zeros((len(index), g.n), dtype=bool)
+    distinct[which] = members
+    iota = np.zeros(srt.shape)
+    iota[r, j] = _frustration_values(g, distinct, budget)[which]
+    if len(unnormalized):
         raise MagnetoError("NOT_NORMALIZED", "coarea integrand requires max|f| = 1")
-    total = float(np.sum(g.ew * np.abs(absf[g.eu] - absf[g.ev])))
-    prev = 0.0
-    for t in sorted(set(float(a) for a in absf if a > 0.0)):
-        mask = sum(1 << u for u in range(g.n) if absf[u] >= t)
-        total += (t - prev) * frustration_exact(g, mask, budget=budget).value
-        prev = t
-    return total
+    boundary = np.sum(g.ew * np.abs(np.take(rows, g.eu, axis=1) - np.take(rows, g.ev, axis=1)),
+                      axis=1)
+    # a NaN of |f| is no level: its step, NaN, must not reach the sum
+    terms = np.column_stack([boundary, np.where(level, srt - prev, 0.0) * iota])
+    total = np.cumsum(terms, axis=1)[:, -1]  # summed in order, as the levels rise
+    return float(total[0]) if absf.ndim == 1 else total
 
 
-def signed_gradient_norm(g: MagneticGraph, f, p: float = 1.0) -> float:
-    """Sum over edges of w_uv |f(u) - s_uv f(v)|^p (orientation invariant)."""
+def signed_gradient_norm(g: MagneticGraph, f, p: float = 1.0):
+    """Sum over edges of w_uv |f(u) - s_uv f(v)|^p (orientation invariant), for
+    one vertex function or each of a stack of them along the last axis."""
     f = np.asarray(f, dtype=complex)
     s = g.signature_values()
-    diffs = np.abs(f[g.eu] - s * f[g.ev])
-    return float(np.sum(g.ew * diffs**p))
+    # np.take returns each function's entries contiguous, so np.sum sums every
+    # row of a stack in the order it sums one function alone
+    diffs = np.abs(np.take(f, g.eu, axis=-1) - s * np.take(f, g.ev, axis=-1))
+    return _per_function(np.sum(g.ew * diffs**p, axis=-1))
 
 
-def measure_norm(g: MagneticGraph, f, r: float = 1.0) -> float:
-    """(sum_u |f(u)|^r mu(u))^{1/r}."""
-    f = np.asarray(f, dtype=complex)
-    return float(np.sum(np.abs(f) ** r * g.mu) ** (1.0 / r))
+def measure_norm(g: MagneticGraph, f, r: float = 1.0):
+    """(sum_u |f(u)|^r mu(u))^{1/r}, for one vertex function or each of a stack
+    of them along the last axis."""
+    f = np.ascontiguousarray(f, dtype=complex)  # rows contiguous, as for one function
+    return _root(np.sum(np.abs(f) ** r * g.mu, axis=-1), r)
 
 
 def _sobolev_factor(g: MagneticGraph) -> float:
@@ -147,6 +186,9 @@ def _sobolev_factor(g: MagneticGraph) -> float:
 
 @dataclass(frozen=True)
 class QuotientReport:
+    """One check; for a stack of functions, ``numerator``, ``denominator``,
+    ``quotient`` and ``satisfied`` are arrays with one entry per function."""
+
     p: float
     q: float
     numerator: float
@@ -173,14 +215,15 @@ def verify_sobolev(
     c_delta: Optional[float] = None,
     h: Optional[float] = None,
 ) -> QuotientReport:
-    """Check one of the Sobolev inequalities on a concrete function.
+    """Check one of the Sobolev inequalities on a concrete function, or on each
+    of a stack of them along the last axis.
 
     Modes: ``iso_p1`` and ``iso_general`` need (delta, c_delta); ``cheeger_p1``
     and ``cheeger_p`` need h. The reported quotient is gradient/norm, so the
     inequality reads quotient >= bound_low.
     """
-    f = np.asarray(f, dtype=complex)
-    if not np.any(f):
+    f = np.ascontiguousarray(f, dtype=complex)
+    if not np.all(np.any(f, axis=-1)):
         raise MagnetoError("ZERO_FUNCTION", "f must be nonzero")
     factor = _sobolev_factor(g)
     if mode in ("iso_p1", "iso_general"):
@@ -211,13 +254,13 @@ def verify_sobolev(
         dmu = g.max_mu_degree()
         dmu_pow = 1.0 if p == 1.0 else dmu ** (1.0 - 1.0 / p)
         c_big = 2.0 * dmu_pow * ratio * factor / c_delta
-        num = signed_gradient_norm(g, f, p) ** (1.0 / p)
+        num = _root(signed_gradient_norm(g, f, p), p)
         den = measure_norm(g, f, q)
         return _make_report(p, q, num, den, 1.0 / c_big)
 
     if mode == "cheeger_p1":
         num = signed_gradient_norm(g, f, 1.0)
-        den = float(np.sum(np.abs(f) * g.mu))
+        den = _per_function(np.sum(np.abs(f) * g.mu, axis=-1))
         return _make_report(1.0, 1.0, num, den, h / factor)
 
     if mode == "cheeger_p":
@@ -226,7 +269,7 @@ def verify_sobolev(
         dmu = g.max_mu_degree()
         dmu_pow = 1.0 if p == 1.0 else dmu ** (1.0 - 1.0 / p)
         c_big = 2.0 * p * dmu_pow * factor / h
-        num = signed_gradient_norm(g, f, p) ** (1.0 / p)
+        num = _root(signed_gradient_norm(g, f, p), p)
         den = measure_norm(g, f, p)
         return _make_report(p, p, num, den, 1.0 / c_big)
 

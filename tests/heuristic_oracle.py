@@ -5,7 +5,9 @@
 arrays: per restart, a Python loop over vertices and sweeps, and a generator
 sum for the cost. ``heuristic_frustration`` drives it over the components of
 a subset the way ``frustration_heuristic`` does, with one rng shared by the
-components in order.
+components in order. A component that ``MagneticGraph.is_balanced`` finds
+balanced, as a graph of its own, takes its trivializing switching at cost 0
+instead of the descent, after the draws the descent would have made.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from frustration_oracle import _local_edges
+from magneto import build_graph
 
 _SWEEP_TOL = 1e-12
 _MAX_SWEEPS = 500
@@ -74,7 +77,15 @@ def heuristic_frustration(g, mask, restarts, seed):
         if len(comp) == 1 or not edges:
             assignment[comp[0]] = 0
             continue
-        cost, vals = heuristic_cyclic(g, comp, edges, restarts, rng)
+        balanced, tau = build_graph(len(comp), [
+            (lu, lv, float(g.ew[e]), g.signature_element(e)) for lu, lv, e in edges
+        ]).is_balanced()
+        if balanced:
+            for _ in range(1, max(1, restarts)):
+                rng.integers(0, g.group_order, size=len(comp))
+            cost, vals = 0.0, {u: tau[i].exponent for i, u in enumerate(comp)}
+        else:
+            cost, vals = heuristic_cyclic(g, comp, edges, restarts, rng)
         total += cost
         assignment.update(vals)
     return total, assignment

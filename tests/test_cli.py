@@ -87,7 +87,8 @@ def test_product_command(tmp_path, capsys):
     assert code == 0
     assert rep["results"]["n"] == 6
     assert rep["results"]["edges"] == 3 * 1 + 2 * 3
-    prod = graph_from_json(open(out).read())
+    with open(out) as fh:
+        prod = graph_from_json(fh.read())
     assert prod.n == 6
 
 
@@ -193,6 +194,13 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     code, rep, _ = run(capsys, ["frustration", path])
     assert code == 1
     assert rep["results"]["error"] == "BUDGET_EXCEEDED"
+    # each suite fails on the whole cycle first: coarea at the first trial's
+    # first level, sobolev in its first search, as the per-trial loop did
+    for suite in ("coarea", "sobolev", "all"):
+        code, rep, _ = run(capsys, ["verify", path, "--suite", suite, "--trials", "5"])
+        assert code == 1
+        assert rep["results"] == {"error": "BUDGET_EXCEEDED",
+                                  "message": "gauge-fixed space 4^5 exceeds budget 10"}
 
 
 def test_stdout_is_deterministic(tmp_path, capsys):

@@ -17,6 +17,7 @@ from magneto import (
     SwitchingAssignment,
     build_graph,
     cartesian_product,
+    cheeger_constant,
     frustration_cycle_oracle,
     frustration_exact,
     frustration_heuristic,
@@ -129,6 +130,20 @@ def test_heuristic_upper_bounds_exact_and_hits_cycles():
                 assert heur.value == pytest.approx(
                     2.0 * math.sin(math.pi * j / k), abs=1e-9
                 )
+
+
+def test_heuristic_gives_balanced_components_zero():
+    # a random gauge switches the trivial signature away; coordinate descent
+    # alone stopped in local minima on each of these graphs (h > 0.19)
+    for seed in (0, 4, 5):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(4, 9)), int(rng.integers(3, 7))
+        g = random_graph(rng, n, k, force_trivial_signature=True)
+        g = g.switch(SwitchingAssignment.from_exponents(range(n), rng.integers(0, k, size=n), k))
+        res = frustration_heuristic(g, g.full_mask(), restarts=2, seed=1)
+        assert res.value == 0.0 and l1_switch_cost(g, g.full_mask(), res.minimizer) == 0.0
+        assert cheeger_constant(g, heuristic=True, restarts=2, seed=1).constant == 0.0
+        assert cheeger_constant(g).constant == 0.0
 
 
 def test_heuristic_circle_reaches_cycle_optimum():

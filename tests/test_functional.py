@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from magneto import (
     coarea_lhs,
     complex_power,
     extremal_certificate,
+    graph_from_json,
     isoperimetric_constant,
     key_average_circle,
     key_average_cyclic,
@@ -29,6 +31,7 @@ from magneto import (
     signed_gradient_norm,
     verify_sobolev,
 )
+from magneto.frustration import DEFAULT_BUDGET
 from magneto.functional import (
     bernoulli_check_batch,
     key_average_circle_batch,
@@ -130,6 +133,15 @@ def test_coarea_requires_normalization():
     with pytest.raises(MagnetoError) as err:
         coarea_lhs(g, [0.5, 0.5, 0.5, 0.5])
     assert err.value.code == "NOT_NORMALIZED"
+    # a stack fails at its first failing row
+    circle = circle_cycle(3, [0.1, 0.2, 0.3])
+    for graph, rows, code in [(g, [[1, 0.5, 0, 1], [0.5] * 4], "NOT_NORMALIZED"),
+                              (circle, [[0.5] * 3, [1, 0.5, 0]], "NOT_NORMALIZED"),
+                              (circle, [[1, 0.5, 0], [0.5] * 3], "CONTINUOUS_GROUP")]:
+        with pytest.raises(MagnetoError) as err:
+            coarea_lhs(graph, rows)
+        assert err.value.code == code
+    assert coarea_lhs(circle, np.zeros((0, 3))).shape == (0,)
 
 
 def test_coarea_on_extremal_certificate():
@@ -150,10 +162,13 @@ def test_coarea_inequality_random():
 
 @st.composite
 def coarea_cases(draw):
-    """(graph, f) with max |f| = 1. The moduli come from a short list that
-    holds 0 and 1, so |f| has ties and zeros, and may have one level only."""
-    k = draw(st.integers(2, 5))
-    n = draw(st.integers(1, 7))
+    """(graph, stack of f, budget). Each row has max |f| = 1, but for at most
+    one row scaled by 1/2. The moduli come from a short list that holds 0 and
+    1, so |f| has ties and zeros, and may have one level only; few edges make
+    disconnected level sets; at k = 5, n = 8, the sets of 8 vertices exceed
+    _CHUNK; the small budgets fail some sets and pass others."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                          .filter(lambda p: p[0] < p[1]), max_size=2 * n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -161,16 +176,101 @@ def coarea_cases(draw):
              for u, v in sorted(pairs)]
     g = build_graph(n, edges, rng.uniform(0.5, 2.0, size=n))
     levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)) + [0.0, 1.0]
-    moduli = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
-    moduli[draw(st.integers(0, n - 1))] = 1.0
-    return g, moduli * np.exp(1j * rng.uniform(0.0, math.tau, size=n))
+    rows = draw(st.integers(1, 4))
+    moduli = np.array(draw(st.lists(st.lists(st.sampled_from(levels), min_size=n, max_size=n),
+                                    min_size=rows, max_size=rows)))
+    moduli[np.arange(rows), draw(st.lists(st.integers(0, n - 1), min_size=rows,
+                                          max_size=rows))] = 1.0
+    if draw(st.booleans()):
+        moduli[draw(st.integers(0, rows - 1))] *= 0.5
+    budget = draw(st.sampled_from([DEFAULT_BUDGET, 10, 100]))
+    return g, moduli * np.exp(1j * rng.uniform(0.0, math.tau, size=moduli.shape)), budget
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(case=coarea_cases())
 def test_closed_form_coarea_matches_the_levelwise_oracle(case):
-    g, f = case
-    assert coarea_lhs(g, f) == pytest.approx(levelwise_coarea_lhs(g, f), rel=1e-12, abs=0.0)
+    # row by row, the oracle gives each value or raises the first error
+    g, fs, budget = case
+    expected = []
+    try:
+        for f in fs:
+            expected.append(levelwise_coarea_lhs(g, f, budget))
+    except MagnetoError as exc:
+        for f in (fs, fs[len(expected)]):  # the stack, and its failing row alone
+            with pytest.raises(MagnetoError) as err:
+                coarea_lhs(g, f, budget)
+            assert (err.value.code, err.value.message) == (exc.code, exc.message)
+        return
+    got = coarea_lhs(g, fs, budget)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert [coarea_lhs(g, f, budget) for f in fs] == got.tolist()
+
+
+def test_coarea_solves_only_sets_past_the_chunk_with_frustration_exact():
+    # at k = 5 the 8-vertex sets need 5^7 > _CHUNK floats: they alone go to
+    # frustration_exact and its memo, and the budget check sees them first
+    rng = np.random.default_rng(71)
+    g = random_graph(rng, 8, 5)
+    fs = normalize_vertex_function(rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
+    fs[3, 2] = 0.0  # one row's support has 7 vertices
+    got = coarea_lhs(g, fs)
+    assert got == pytest.approx([levelwise_coarea_lhs(g, f) for f in fs], rel=1e-12, abs=0.0)
+    fresh = graph_from_json(g.to_json())
+    coarea_lhs(fresh, fs)
+    assert [key for key in fresh._memo if key[0] == "frustration_exact"] == \
+        [("frustration_exact", fresh.full_mask())]
+    with pytest.raises(MagnetoError) as err:
+        coarea_lhs(fresh, fs, budget=5**6)
+    assert err.value.message == "gauge-fixed space 5^7 exceeds budget 15625"
+
+
+def test_coarea_on_many_vertices_and_a_small_support():
+    # n > 64: the level sets are boolean rows, not machine-word bitmasks
+    rng = np.random.default_rng(73)
+    n = 70
+    edges = [(u, (u + 1) % n, float(rng.uniform(0.5, 2.0)),
+              GroupElement.cyclic(int(rng.integers(3)), 3)) for u in range(n)]
+    edges += [(u, u + 5, 1.0, GroupElement.cyclic(1, 3)) for u in range(60, 65)]
+    g = build_graph(n, edges)
+    fs = np.zeros((3, n), dtype=complex)
+    support = [0, 1, 2, 60, 61, 65, 69]
+    fs[:, support] = rng.choice([0.25, 0.5, 1.0], size=(3, len(support)))
+    fs[:, 65] = 1.0
+    assert coarea_lhs(g, fs) == pytest.approx([levelwise_coarea_lhs(g, f) for f in fs],
+                                              rel=1e-12, abs=0.0)
+
+
+def test_stacked_norms_and_checks_equal_the_per_function_calls():
+    # n and m of 8 or more, where np.sum adds one function's terms pairwise
+    rng = np.random.default_rng(79)
+    g = random_graph(rng, 11, 3)
+    h = cheeger_constant(g).constant
+    c3 = isoperimetric_constant(g, 3.0).constant
+    for rows in (1, 5):
+        # column-major, so the stacked sums cannot rely on the caller's layout
+        fs = np.asfortranarray(rng.normal(size=(rows, g.n)) + 1j * rng.normal(size=(rows, g.n)))
+        normalized = normalize_vertex_function(fs)
+        assert [normalize_vertex_function(f).tolist() for f in fs] == normalized.tolist()
+        assert [coarea_lhs(g, f) for f in normalized] == coarea_lhs(g, normalized).tolist()
+        for p in (1.0, 1.5, 2.0):
+            assert [signed_gradient_norm(g, f, p) for f in fs] == \
+                signed_gradient_norm(g, fs, p).tolist()
+            assert [measure_norm(g, f, p) for f in fs] == measure_norm(g, fs, p).tolist()
+        for kw in [dict(mode="iso_p1", delta=3.0, c_delta=c3),
+                   dict(mode="iso_general", p=2.0, delta=3.0, c_delta=c3),
+                   dict(mode="cheeger_p1", h=h), dict(mode="cheeger_p", p=1.5, h=h),
+                   dict(mode="cheeger_p1", h=100.0)]:
+            stacked = verify_sobolev(g, fs, **kw)
+            for i, f in enumerate(fs):
+                one = verify_sobolev(g, f, **kw)
+                assert isinstance(one.satisfied, bool)
+                assert one == dataclasses.replace(
+                    stacked, numerator=stacked.numerator[i], denominator=stacked.denominator[i],
+                    quotient=stacked.quotient[i], satisfied=bool(stacked.satisfied[i]))
+    with pytest.raises(MagnetoError) as err:
+        normalize_vertex_function([[1.0, 0.0], [0.0, 0.0]])
+    assert err.value.code == "ZERO_FUNCTION"
 
 
 def test_gradient_norm_orientation_invariant():

@@ -45,6 +45,19 @@ def test_verify_all_solves_each_subset_once(tmp_path, monkeypatch):
     assert max(solves.values()) == 1
 
 
+def test_coarea_suite_solves_and_keeps_nothing(tmp_path, monkeypatch):
+    # its level sets of n = 10, k = 3 fit the value-only kernel
+    g = random_graph(np.random.default_rng(11), 10, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    solves = []
+    monkeypatch.setattr(magneto.frustration, "_solve_exact", lambda *a: solves.append(a))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path), "--suite", "coarea", "--trials", "20"])
+    assert code == 0
+    assert not solves
+
+
 def test_memoized_results_match_a_fresh_graph():
     g = random_graph(np.random.default_rng(4), 7, 3)
 
