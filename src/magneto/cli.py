@@ -33,7 +33,12 @@ from .groups import CYCLIC, GroupElement
 
 def _budget() -> int:
     raw = os.environ.get("MAGNETO_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise MagnetoError("BAD_BUDGET", f"MAGNETO_BUDGET is not an integer: {raw!r}") from None
 
 
 def _load_graph(path: str) -> MagneticGraph:
@@ -180,29 +185,28 @@ def cmd_oracle(args):
     }, "OK"
 
 
-def _suite_coarea(g, trials, seed, results):
+def _suite_coarea(g, args):
     factor = functional._sobolev_factor(g)
     violations = 0
-    for fs in _random_fs(seed, trials, g.n):
+    for fs in _random_fs(args.seed, args.trials, g.n):
         # a zero row raises ZERO_FUNCTION here, before the checks of the rows
         # before it; drawn rows are zero only when n = 0, and then all are
         fs = functional.normalize_vertex_function(fs)
         lhs = functional.coarea_lhs(g, fs, budget=_budget())
         rhs = factor * functional.signed_gradient_norm(g, fs, 1.0)
         violations += int(np.count_nonzero(lhs > rhs + 1e-9))
-    results["coarea"] = {"trials": trials, "violations": violations}
-    return violations == 0
+    return {"trials": args.trials, "violations": violations}, violations == 0
 
 
-def _suite_sobolev(g, trials, seed, delta, results):
+def _suite_sobolev(g, args):
+    delta = args.delta
     h = isoperimetry.cheeger_constant(g, budget=_budget()).constant
     c_delta = isoperimetry.isoperimetric_constant(g, delta, budget=_budget()).constant
     if h <= 0:
-        results["sobolev"] = {"skipped": "balanced graph (h = 0)"}
-        return True
+        return {"skipped": "balanced graph (h = 0)"}, True
     p = 2.0 if delta > 2.0 else 0.5 * (1.0 + delta)
     violations = 0
-    for fs in _random_fs(seed, trials, g.n):
+    for fs in _random_fs(args.seed, args.trials, g.n):
         checks = [
             functional.verify_sobolev(g, fs, "iso_p1", delta=delta, c_delta=c_delta),
             functional.verify_sobolev(g, fs, "iso_general", p=p, delta=delta, c_delta=c_delta),
@@ -210,69 +214,63 @@ def _suite_sobolev(g, trials, seed, delta, results):
             functional.verify_sobolev(g, fs, "cheeger_p", p=p, h=h),
         ]
         violations += sum(int(np.count_nonzero(~c.satisfied)) for c in checks)
-    results["sobolev"] = {
-        "trials": trials, "h": h, "c_delta": c_delta, "violations": violations
-    }
-    return violations == 0
+    return {"trials": args.trials, "h": h, "c_delta": c_delta, "violations": violations}, \
+        violations == 0
 
 
-def _suite_kato(g, trials, seed, results):
+def _suite_kato(g, args):
     violations = sum(int(np.count_nonzero(~spectral.kato_check(g, fs)))
-                     for fs in _random_fs(seed, trials, g.n))
-    results["kato"] = {"trials": trials, "violations": violations}
-    return violations == 0
+                     for fs in _random_fs(args.seed, args.trials, g.n))
+    return {"trials": args.trials, "violations": violations}, violations == 0
 
 
-def _suite_domination(g, trials, seed, results):
+def _suite_domination(g, args):
     violations = sum(int(np.count_nonzero(~spectral.domination_check(g, t, fs)))
-                     for fs in _random_fs(seed, trials, g.n) for t in (0.1, 1.0, 10.0))
-    results["domination"] = {"trials": trials, "violations": violations}
-    return violations == 0
+                     for fs in _random_fs(args.seed, args.trials, g.n) for t in (0.1, 1.0, 10.0))
+    return {"trials": args.trials, "violations": violations}, violations == 0
 
 
-def _suite_trace(g, delta, results):
-    c_delta = isoperimetry.isoperimetric_constant(g, delta, budget=_budget()).constant
+def _suite_trace(g, args):
+    c_delta = isoperimetry.isoperimetric_constant(g, args.delta, budget=_budget()).constant
     if c_delta <= 0:
-        results["trace"] = {"skipped": "balanced graph (c_delta = 0)"}
-        return True
-    rep = spectral.trace_bound_check(g, delta, c_delta, (0.1, 1.0, 10.0))
+        return {"skipped": "balanced graph (c_delta = 0)"}, True
+    rep = spectral.trace_bound_check(g, args.delta, c_delta, (0.1, 1.0, 10.0))
     eig_ok = all(
-        spectral.eigenvalue_lower_bound_check(g, delta, c_delta, k)["ok"]
+        spectral.eigenvalue_lower_bound_check(g, args.delta, c_delta, k)["ok"]
         for k in range(1, g.n + 1)
     )
-    results["trace"] = {"c_delta": c_delta, "trace_ok": rep["ok"], "eigenvalue_ok": eig_ok}
-    return rep["ok"] and eig_ok
+    return {"c_delta": c_delta, "trace_ok": rep["ok"], "eigenvalue_ok": eig_ok}, \
+        rep["ok"] and eig_ok
 
 
-def _suite_product(g, results):
+def _suite_product(g, args):
     rep = isoperimetry.verify_product_additivity([g], budget=_budget())
-    results["product"] = {
+    return {
         "factor_constants": rep.factor_constants,
         "product_constant": rep.product_constant,
         "holds": rep.holds,
-    }
-    return rep.holds
+    }, rep.holds
+
+
+# the verify suites, in the order `--suite all` runs and reports them; each
+# returns (its report, whether every check held)
+_SUITES = {
+    "coarea": _suite_coarea,
+    "sobolev": _suite_sobolev,
+    "kato": _suite_kato,
+    "domination": _suite_domination,
+    "trace": _suite_trace,
+    "product": _suite_product,
+}
 
 
 def cmd_verify(args):
     g = _load_graph(args.graph)
-    suites = ["coarea", "sobolev", "kato", "domination", "trace", "product"] \
-        if args.suite == "all" else [args.suite]
     results = {}
     ok = True
-    for suite in suites:
-        if suite == "coarea":
-            ok &= _suite_coarea(g, args.trials, args.seed, results)
-        elif suite == "sobolev":
-            ok &= _suite_sobolev(g, args.trials, args.seed, args.delta, results)
-        elif suite == "kato":
-            ok &= _suite_kato(g, args.trials, args.seed, results)
-        elif suite == "domination":
-            ok &= _suite_domination(g, args.trials, args.seed, results)
-        elif suite == "trace":
-            ok &= _suite_trace(g, args.delta, results)
-        elif suite == "product":
-            ok &= _suite_product(g, results)
+    for name in _SUITES if args.suite == "all" else [args.suite]:
+        results[name], passed = _SUITES[name](g, args)
+        ok &= passed
     return results, ("OK" if ok else "VIOLATION")
 
 
@@ -334,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="batch inequality verification")
     p.add_argument("graph")
-    p.add_argument("--suite", required=True,
-                   choices=["coarea", "sobolev", "kato", "domination", "trace",
-                            "product", "all"])
+    p.add_argument("--suite", required=True, choices=[*_SUITES, "all"])
     p.add_argument("--delta", type=float, default=3.0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

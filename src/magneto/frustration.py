@@ -1,10 +1,13 @@
 """Frustration index: the l1 gauge-optimization problem over switchings.
 
-``frustration_exact`` searches the gauge-fixed space exhaustively (one vertex
-per connected component of the induced subgraph is pinned to 1, which leaves
-the cost invariant): per component, a cost tensor over its last vertices is
-built from broadcast edge tables for every assignment of the vertices before
-them; ``_frustration_values`` gets the values alone for many subsets at once.
+One exact kernel, ``_eliminate``, serves ``frustration_exact`` and the
+value-only ``_frustration_values``: min-sum variable elimination over the
+exponents. Each set pins its first vertex to 1, which leaves the cost
+invariant, and its other vertices are eliminated in reverse label order, the
+edge tables added in place to one cost array of at most k^(|S|-1) floats per
+set, far fewer on sparse sets. ``frustration_exact`` runs it on one component
+at a time and decodes the lexicographically first minimizer from the arrays
+of its steps; ``_frustration_values`` runs it on blocks of same-size sets.
 ``frustration_heuristic`` is greedy coordinate descent and only ever yields
 an upper bound, which is exact, 0, on the components that a spanning-tree
 test finds balanced. Its restarts are the rows of arrays, in blocks of
@@ -81,8 +84,9 @@ def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) ->
 
     Ties are broken toward the lexicographically smallest exponent vector in
     vertex order. Raises CONTINUOUS_GROUP for S^1 and BUDGET_EXCEEDED when the
-    gauge-fixed space k^(|V1|-c) is larger than ``budget``; past those checks
-    the result is computed once per graph and subset.
+    gauge-fixed space k^(|V1|-c) is larger than ``budget``, which also bounds
+    the kernel's largest array, k^(|C|-1) floats for a component C; past those
+    checks the result is computed once per graph and subset.
     """
     _check_cyclic(g)
     mask = g.as_mask(subset)
@@ -116,14 +120,11 @@ def _frustration_values(g: MagneticGraph, members: np.ndarray, budget: int) -> n
 
     The checks of ``frustration_exact`` run first, on every row in order, so
     the first row that fails them raises what ``frustration_exact`` raises; a
-    row's components are looked up only when k^(|S| - 1) > ``budget``. A set
-    pins its first vertex. The sets of one size s with k^(s-1) <= _CHUNK share
-    cost arrays of at most _CHUNK floats, one column per set: the array starts
-    as the pinned vertex's one entry per set and takes one more vertex at a
-    time, as a new leading axis of length k, to which every induced edge from
-    an earlier vertex of the set adds its table (a zero table in the columns of
-    sets without that edge). The least entry of a column is its set's value.
-    Larger sets go to ``frustration_exact``.
+    row's components are looked up only when k^(|S| - 1) > ``budget``. The
+    sets of one size s with k^(s-1) <= _CHUNK go to ``_eliminate`` in blocks
+    of at most _CHUNK // k^(s-1) sets. A larger set goes alone, one component
+    at a time, and sums their values in component order, as
+    ``frustration_exact`` does.
     """
     values = np.zeros(len(members))
     if not len(members):
@@ -133,50 +134,99 @@ def _frustration_values(g: MagneticGraph, members: np.ndarray, budget: int) -> n
     sizes = members.sum(axis=1)
     for r in np.flatnonzero([k ** (int(s) - 1) > budget for s in sizes]):
         _budgeted_components(g, g.as_mask(np.flatnonzero(members[r])), budget)
-    if k == 1:
-        return values
-    # tab[e, d] = w_e |1 - xi^(d - s_e)|: edge e's cost when its lower end's
-    # exponent exceeds the other's by d; the last row, for no edge, is zero
-    tab = np.zeros((g.m + 1, k))
-    tab[:-1] = g.ew[:, None] * _dist_table(k)[(np.arange(k) - g.sig[:, None]) % k]
-    diff = (np.arange(k) - np.arange(k)[:, None]) % k  # diff[b, a] = a - b mod k
     for s in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == s)
         if k ** (s - 1) > _CHUNK:
             for r in rows:
-                values[r] = frustration_exact(g, np.flatnonzero(members[r]), budget).value
+                for comp in g.components_of(g.as_mask(np.flatnonzero(members[r]))):
+                    values[r] += _eliminate(g, g.indicator(comp)[None])[0]
             continue
         block = _CHUNK // k ** (s - 1)
         for lo in range(0, len(rows), block):
             part = rows[lo:lo + block]
-            values[part] = _block_minima(g, members[part], s, tab, diff)
+            values[part] = _eliminate(g, members[part])
     return values
 
 
-def _block_minima(g, members, s, tab, diff):
-    """Least switch cost of each of a block of sets of size s (see
-    ``_frustration_values``)."""
-    n_sets, k = len(members), tab.shape[1]
-    # edge[r, i, j]: the edge between the i-th and j-th vertex of set r (i < j,
-    # as the graph stores u < v), or g.m for none
+def _eliminate(g: MagneticGraph, members: np.ndarray, steps: list | None = None) -> np.ndarray:
+    """Least switch cost of each of a block of sets of one size s, given as
+    rows of booleans over the vertices, by min-sum variable elimination.
+
+    A set names its vertices 0..s-1 in label order and pins vertex 0 to the
+    exponent 0. The block shares one cost array: a leading axis over the sets,
+    then an axis per live vertex, highest first. Vertices j = s-1, ..., 1 go
+    in turn. The vertices i > 0 below j that share an edge with j in some set
+    of the block, and j itself, join the array if they are not on it yet, as
+    axes of length 1 that the first table along each widens to k. The tables
+    of the edges (i, j) are added in increasing i, in place once the array
+    has its full shape, each zero in the sets without that edge; then the min
+    over j's axis is taken. So every entry sums its edge costs in one order
+    that does not depend on the rest of the block, and a set gets the same
+    float alone and in any block. The largest array holds at most k^(s-1)
+    entries per set, and the peak is about that array and its min. With
+    ``steps`` a list, each step's (live vertices, array before the min) is
+    appended to it.
+    """
+    k, n_sets = g.group_order, len(members)
+    if k == 1:
+        return np.zeros(n_sets)  # every edge costs |1 - 1| = 0
     pos = np.cumsum(members, axis=1) - 1
+    s = int(pos[0, -1]) + 1
     r, e = np.nonzero(members[:, g.eu] & members[:, g.ev])
-    edge = np.full((n_sets, s, s), g.m)
-    edge[r, pos[r, g.eu[e]], pos[r, g.ev[e]]] = e
-    # cost[a_j, ..., a_1, set] for the vertices 0..j of each set, a_0 = 0
-    cost = np.zeros(n_sets)
-    for j in range(1, s):
-        grown = np.empty((k,) + cost.shape)
-        grown[...] = cost
-        cost = grown
-        for i in np.flatnonzero((edge[:, :j, j] < g.m).any(axis=0)):
-            shape = [k] + [1] * (j - 1) + [n_sets]
+    # the pairs (i, j) of local vertices that an edge joins in some set of the
+    # block, as i * s + j in increasing order (i < j, as the graph stores u < v);
+    # edge[r, p] is the edge of the p-th pair in set r, or g.m for none
+    pairs, which = np.unique(pos[r, g.eu[e]] * s + pos[r, g.ev[e]], return_inverse=True)
+    edge = np.full((n_sets, len(pairs)), g.m)
+    edge[r, which] = e
+    tab = _edge_costs(g)
+    lower = [[] for _ in range(s)]  # lower[j]: (i, p) of the pairs (i, j), i increasing
+    for p, key in enumerate(pairs.tolist()):
+        i, j = divmod(key, s)
+        lower[j].append((i, p))
+    # the tables index tab by a_i - a_j mod k: diff[a_j, a_i] for an edge between
+    # unpinned vertices (a key of at least s; their arrays hold k^2 entries per
+    # set anyway), pin[a_j] for an edge from the pinned vertex, a_0 = 0
+    b = np.arange(k)
+    diff = (b - b[:, None]) % k if len(pairs) and pairs[-1] >= s else None
+    pin = -b % k
+    cost, axes = np.zeros(n_sets), []
+    for j in range(s - 1, 0, -1):
+        if not lower[j] and axes[:1] != [j]:
+            continue  # no edge of the block reaches j
+        joined = sorted(set(axes).union([i for i, _ in lower[j]], [j]) - {0}, reverse=True)
+        short = set(joined) - set(axes)  # axes of length 1 until a table covers them
+        cost = cost.reshape([n_sets] + [1 if a in short else k for a in joined])
+        axes = joined
+        for i, p in lower[j]:
+            shape = [n_sets, k] + [1] * (len(axes) - 1)
             if i:
-                shape[j - i] = k
-                cost += tab[edge[:, i, j]].T[diff].reshape(shape)
+                shape[1 + axes.index(i)] = k
+                table = tab[edge[:, p, None, None], diff].reshape(shape)
             else:
-                cost += tab[edge[:, 0, j]].T[diff[:, 0]].reshape(shape)
-    return cost.reshape(-1, n_sets).min(axis=0)
+                table = tab[edge[:, p, None], pin].reshape(shape)
+            if short & {i, j}:
+                cost = cost + table
+                short -= {i, j}
+            else:
+                cost += table
+        if steps is not None:
+            steps.append((axes, cost))
+        cost, axes = cost.min(axis=1), axes[1:]
+    return cost
+
+
+def _edge_costs(g: MagneticGraph) -> np.ndarray:
+    """tab[e, d] = w_e |1 - xi^(d - s_e)|: edge e's cost when its lower end's
+    exponent exceeds the other's by d; the last row, for no edge, is zero.
+    Built once per graph."""
+    def build():
+        k = g.group_order
+        tab = np.zeros((g.m + 1, k))
+        tab[:-1] = g.ew[:, None] * _dist_table(k)[(np.arange(k) - g.sig[:, None]) % k]
+        return tab
+
+    return g.memo("edge_costs", build)
 
 
 def _dist_table(k: int) -> np.ndarray:
@@ -187,84 +237,23 @@ def _dist_table(k: int) -> np.ndarray:
 
 
 def _solve_exact(g: MagneticGraph, mask: int, comps: tuple) -> FrustrationResult:
+    """``_eliminate`` per component, then a forward decode: vertex j = 1, 2,
+    ... takes the first exponent that reaches the least entry of its step's
+    array, given the exponents of the vertices below it. That is the
+    lexicographically first minimizer, since exact ties stay float ties."""
     k = g.group_order
-    dist = _dist_table(k)
-    total = 0.0
-    evaluations = 0
-    assignment = {}
+    total, evaluations, assignment = 0.0, 0, {}
     for comp in comps:
-        edges = _component_local_edges(g, comp, mask)
-        m = len(comp)
-        if m == 1 or not edges or k == 1:
-            assignment.update(dict.fromkeys(comp, 0))
-            evaluations += 1
-            continue
-        value, exps = _solve_component(g, dist, m, edges)
-        evaluations += k ** (m - 1)
-        total += value
+        steps = []
+        total += float(_eliminate(g, g.indicator(comp)[None], steps)[0])
+        exps = [0] * len(comp)
+        for axes, cost in reversed(steps):
+            exps[axes[0]] = int(np.argmin(cost[(0, slice(None)) + tuple(exps[a] for a in axes[1:])]))
         assignment.update(zip(comp, exps))
+        evaluations += k ** (len(comp) - 1)
     verts = sorted(assignment)
     tau = SwitchingAssignment.from_exponents(verts, [assignment[u] for u in verts], k)
     return FrustrationResult(total, tau, True, evaluations)
-
-
-def _solve_component(g, dist, m, edges):
-    """(cost, exponents) of the lexicographically first minimizer of one
-    component in local vertex order, local vertex 0 pinned to 0.
-
-    The last q vertices, with k^q <= _CHUNK (q >= 1), span a cost tensor; the
-    h = m - q vertices before them form a prefix, whose k^(h-1) assignments
-    (vertex 0 pinned) are enumerated in big-endian order. An edge inside the
-    tensor adds a k x k table, once per component; an edge from the prefix
-    into the tensor adds a length-k vector along one axis, and an edge inside
-    the prefix a scalar, per prefix. Each cost is summed in one fixed edge
-    order, the tensor's edges first, so assignments whose edges cost the same
-    floats cost the same float; summing the vectors of one axis first would
-    not keep that. The C-order argmin of a tensor is its big-endian first
-    minimum, and a later prefix wins only when strictly cheaper. Prefixes go
-    in blocks of _CHUNK // k, so an edge's per-prefix terms never take more
-    than about _CHUNK floats.
-    """
-    k = len(dist)
-    q = 1
-    while q < m - 1 and k ** (q + 1) <= _CHUNK:
-        q += 1
-    h = m - q
-    radix = k ** np.arange(h - 2, -1, -1, dtype=np.int64)
-    b = np.arange(k)
-    tensor = np.zeros((k,) * q)
-    crossing = []  # (lu, lv, s, w) of the edges with an end in the prefix
-    for lu, lv, idx in edges:  # graphs store u < v, so lu < lv
-        s, w = int(g.sig[idx]), float(g.ew[idx])
-        if lu < h:
-            crossing.append((lu, lv, s, w))
-        else:
-            shape = [1] * q
-            shape[lu - h] = shape[lv - h] = k
-            tensor += (w * dist[(b[:, None] - b - s) % k]).reshape(shape)
-    best, best_exps = math.inf, None
-    n_pre = k ** (h - 1)
-    block = max(1, _CHUNK // k)  # prefixes per block: k * block <= _CHUNK floats per edge
-    for lo in range(0, n_pre, block):
-        pre = np.zeros((min(block, n_pre - lo), h), dtype=np.int64)
-        pre[:, 1:] = (np.arange(lo, lo + len(pre), dtype=np.int64)[:, None] // radix) % k
-        terms = []
-        for lu, lv, s, w in crossing:
-            if lv < h:
-                terms.append(w * dist[(pre[:, lu] - pre[:, lv] - s) % k])
-            else:
-                shape = [len(pre)] + [1] * q
-                shape[lv - h + 1] = k
-                terms.append((w * dist[(pre[:, lu, None] - b - s) % k]).reshape(shape))
-        for r in range(len(pre)):
-            cost = tensor.copy()
-            for term in terms:
-                cost += term[r]
-            i = int(np.argmin(cost))
-            if cost.flat[i] < best:
-                best = float(cost.flat[i])
-                best_exps = list(pre[r]) + list(np.unravel_index(i, cost.shape))
-    return best, [int(e) for e in best_exps]
 
 
 def _heuristic_cyclic(g, comp_verts, edges, restarts, rng):

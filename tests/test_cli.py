@@ -203,6 +203,20 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
                                   "message": "gauge-fixed space 4^5 exceeds budget 10"}
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e7"])
+def test_malformed_budget_is_an_error(tmp_path, capsys, monkeypatch, raw):
+    path = write_graph(tmp_path, cycle_graph(5, 3, 1))
+    monkeypatch.setenv("MAGNETO_BUDGET", raw)
+    code = main(["frustration", path])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    rep = json.loads(lines[0])
+    assert rep["status"] == "ERROR"
+    assert rep["results"] == {"error": "BAD_BUDGET",
+                              "message": f"MAGNETO_BUDGET is not an integer: {raw!r}"}
+
+
 def test_stdout_is_deterministic(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(5, 3, 1))
     argv = ["verify", path, "--suite", "coarea", "--trials", "10", "--seed", "42"]

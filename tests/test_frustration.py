@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magneto.frustration
-from conftest import circle_cycle, cycle_graph, random_graph
+from conftest import circle_cycle, cycle_graph, k2_graph, random_graph
 from frustration_oracle import enumerate_frustration, lex_first_min_count
 from heuristic_oracle import heuristic_frustration
 from magneto import (
@@ -78,6 +78,10 @@ def test_subsets_inducing_forests_are_free():
     g = cycle_graph(6, 4, 1)
     for subset in ([0], [0, 1], [0, 1, 2], [0, 2, 4]):
         assert frustration_exact(g, subset).value == 0.0
+    # an edge from a pinned vertex takes a table of k floats, never k x k
+    edge = k2_graph(10**6, 12345)
+    assert frustration_exact(edge, edge.full_mask()).value == 0.0
+    assert frustration_exact(edge, edge.full_mask()).minimizer[1].exponent == 10**6 - 12345
 
 
 def test_weights_scale_the_index():
@@ -181,17 +185,25 @@ def weighted_subsets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edges = [(u, v, float(rng.uniform(0.5, 2.0)), GroupElement.cyclic(draw(st.integers(0, k - 1)), k))
              for u, v in sorted(pairs)]
-    g = build_graph(n, edges, rng.uniform(0.5, 2.0, size=n))
+    g = relabelled(build_graph(n, edges, rng.uniform(0.5, 2.0, size=n)),
+                   draw(st.permutations(range(n))))
     return g, draw(st.integers(1, g.full_mask()))
 
 
+def relabelled(g, perm):
+    """g with vertex u renamed perm[u]: the same graph, eliminated in another
+    vertex order, so with other array widths."""
+    k = g.group_order
+    edges = [(perm[u], perm[v], w, GroupElement.cyclic(s, k))
+             for u, v, w, s in zip(g.eu.tolist(), g.ev.tolist(), g.ew.tolist(), g.sig.tolist())]
+    return build_graph(g.n, edges, g.mu[np.argsort(perm)])
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=weighted_subsets(), chunk=st.sampled_from([1, 8, 100, 1 << 15]))
-def test_exact_matches_the_enumeration_oracle(case, chunk):
-    # small chunks split components into enumerated prefixes and a tensor
+@given(case=weighted_subsets())
+def test_exact_matches_the_enumeration_oracle(case):
     g, mask = case
-    with mock.patch.object(magneto.frustration, "_CHUNK", chunk):
-        res = frustration_exact(g, mask)
+    res = frustration_exact(g, mask)
     value, assignment, evaluations = enumerate_frustration(g, mask)
     assert {u: res.minimizer[u].exponent for u in assignment} == assignment
     assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -289,16 +301,51 @@ def _unit_cases():
     return cases
 
 
-@pytest.mark.parametrize("chunk", [1 << 15, 9])
-def test_exact_ties_go_to_the_lexicographically_first_minimizer(chunk):
+def test_exact_ties_go_to_the_lexicographically_first_minimizer():
     # unit weights with k in {2, 3}: every frustrated edge costs the same, so
-    # minimizers are exact ties, counted in integers by the oracle
+    # minimizers are exact ties, counted in integers by the oracle; each graph
+    # goes in its own vertex order and in a random one
     x = {2: 2.0, 3: 2.0 * math.sin(math.pi / 3)}
-    with mock.patch.object(magneto.frustration, "_CHUNK", chunk):
-        for g in _unit_cases():
+    rng = np.random.default_rng(405)
+    for base in _unit_cases():
+        for g in (base, relabelled(base, rng.permutation(base.n).tolist())):
             mask = g.full_mask()
             res = magneto.frustration._solve_exact(g, mask, g.components_of(mask))
             count, assignment = lex_first_min_count(g, mask)
             assert {u: res.minimizer[u].exponent for u in assignment} == assignment
             assert res.value == pytest.approx(count * x[g.group_order], rel=1e-12)
 
+
+def _peak_bytes(solve):
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sparse_component_keeps_small_arrays():
+    # a 14-cycle at k = 3 has 3^13 gauge-fixed assignments, but no step's
+    # array holds more than 3^2 entries
+    g = cycle_graph(14, 3, 1)
+    frustration_exact(cycle_graph(5, 3, 1), 31)  # lazy imports and first-call caches
+    assert _peak_bytes(lambda: frustration_exact(g, g.full_mask())) < 64 * 1024
+    assert frustration_exact(g, g.full_mask()).value == pytest.approx(math.sqrt(3.0), rel=1e-15)
+
+
+def test_a_dense_component_peaks_at_about_one_array():
+    # K_10 at k = 4: the first step's array has 4^9 entries. The tables are
+    # added to it in place, so the peak stays near one such array, not two:
+    # its min adds a k-th, and a minimizer's kept steps add up to a (k-1)-th
+    n, k = 10, 4
+    rng = np.random.default_rng(9)
+    g = build_graph(n, [(u, v, float(rng.uniform(0.5, 2.0)), GroupElement.cyclic(int(rng.integers(k)), k))
+                        for u in range(n) for v in range(u + 1, n)])
+    array = k ** (n - 1) * 8
+    members = np.ones((1, n), dtype=bool)
+    value = magneto.frustration._frustration_values(g, members, 10**7)[0]
+    assert _peak_bytes(lambda: frustration_exact(g, g.full_mask())) < 1.5 * array
+    assert _peak_bytes(lambda: magneto.frustration._frustration_values(g, members, 10**7)) \
+        < 1.5 * array
+    assert frustration_exact(g, g.full_mask()).value == value

@@ -19,6 +19,7 @@ from magneto import (
     coarea_lhs,
     complex_power,
     extremal_certificate,
+    frustration_exact,
     graph_from_json,
     isoperimetric_constant,
     key_average_circle,
@@ -207,9 +208,10 @@ def test_closed_form_coarea_matches_the_levelwise_oracle(case):
     assert [coarea_lhs(g, f, budget) for f in fs] == got.tolist()
 
 
-def test_coarea_solves_only_sets_past_the_chunk_with_frustration_exact():
-    # at k = 5 the 8-vertex sets need 5^7 > _CHUNK floats: they alone go to
-    # frustration_exact and its memo, and the budget check sees them first
+def test_coarea_solves_sets_past_the_chunk_alone_and_keeps_nothing():
+    # at k = 5 the 8-vertex sets need 5^7 > _CHUNK floats: they are solved
+    # alone, still without frustration_exact and its memo, and the budget
+    # check sees them first
     rng = np.random.default_rng(71)
     g = random_graph(rng, 8, 5)
     fs = normalize_vertex_function(rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
@@ -218,8 +220,9 @@ def test_coarea_solves_only_sets_past_the_chunk_with_frustration_exact():
     assert got == pytest.approx([levelwise_coarea_lhs(g, f) for f in fs], rel=1e-12, abs=0.0)
     fresh = graph_from_json(g.to_json())
     coarea_lhs(fresh, fs)
-    assert [key for key in fresh._memo if key[0] == "frustration_exact"] == \
-        [("frustration_exact", fresh.full_mask())]
+    assert not [key for key in fresh._memo if key[0] == "frustration_exact"]
+    # |f| = 1 on every vertex: the integral is iota(V), the value frustration_exact gives
+    assert coarea_lhs(fresh, np.ones(8)) == frustration_exact(fresh, fresh.full_mask()).value
     with pytest.raises(MagnetoError) as err:
         coarea_lhs(fresh, fs, budget=5**6)
     assert err.value.message == "gauge-fixed space 5^7 exceeds budget 15625"
