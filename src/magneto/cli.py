@@ -379,6 +379,8 @@ def main(argv=None) -> int:
         results, status = {"error": exc.code, "message": exc.message}, "ERROR"
     except OSError as exc:
         results, status = {"error": "IO_ERROR", "message": str(exc)}, "ERROR"
+    except MemoryError as exc:
+        results, status = {"error": "OUT_OF_MEMORY", "message": str(exc)}, "ERROR"
     elapsed = time.monotonic() - start
     report = {
         "command": command,

@@ -171,11 +171,7 @@ class MagneticGraph:
         return np.nonzero(ind[self.eu] & ind[self.ev])[0]
 
     def components_of(self, mask: int) -> tuple:
-        """Connected components (sorted vertex tuples) of the induced subgraph,
-        found once per graph and mask."""
-        return self.memo(("components", mask), lambda: self._find_components(mask))
-
-    def _find_components(self, mask: int) -> tuple:
+        """Connected components (sorted vertex tuples) of the induced subgraph."""
         verts = self.mask_vertices(mask)
         seen = set()
         comps = []

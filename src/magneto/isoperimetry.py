@@ -20,7 +20,7 @@ Each prunes only subsets whose bound strictly exceeds the threshold, so no
 tie is dropped, and a heuristic frustration is at least the true one, so
 none changes a heuristic search either. A heuristic search reports the least
 of max(cycle bound, spectral bound) as a certified lower bound on the
-constant.
+constant. A search is kept per graph and mode, past the checks it makes first.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class IsoperimetricResult:
     argmin: CutReport
     lower_bound: float  # certified; equals constant when exact
     stats: SearchStats
-    profile: Optional[list] = None
+    profile: Optional[tuple] = None  # shared by every caller of a kept search
     exact: bool = True  # False when any subset used heuristic frustration
 
 
@@ -167,13 +167,16 @@ def _minimize_quotient(
 ) -> IsoperimetricResult:
     if g.n == 0:
         raise MagnetoError("EMPTY_GRAPH", "no nonempty subsets")
-    if g.n > subset_limit:
-        raise MagnetoError(
-            "BUDGET_EXCEEDED", f"{g.n} vertices exceed subset limit {subset_limit}"
-        )
+    limit = min(subset_limit, 59)  # numpy sizes no table of 2^n int64 masks past n = 59
+    if g.n > limit:
+        raise MagnetoError("BUDGET_EXCEEDED", f"{g.n} vertices exceed subset limit {limit}")
     if g.group_kind == CIRCLE and not heuristic:
         raise MagnetoError("CONTINUOUS_GROUP", "exact search needs a cyclic group")
+    return g.memo(("search", delta, heuristic, budget, restarts, seed, profile),
+                  lambda: _search(g, delta, heuristic, budget, restarts, seed, profile))
 
+
+def _search(g, delta, heuristic, budget, restarts, seed, profile) -> IsoperimetricResult:
     def frustration_of(mask):
         if heuristic:
             return frustration_heuristic(g, mask, restarts=restarts, seed=seed)
@@ -232,9 +235,8 @@ def _minimize_quotient(
     pruned_boundary = len(masks) - pruned_cycles - pruned_spectral - evaluated
     stats = SearchStats(len(masks), pruned_boundary, pruned_cycles, pruned_spectral, evaluated)
     lower_bound = float(bounds.min()) if heuristic else best
-    return IsoperimetricResult(
-        delta, best, argmin, lower_bound, stats, reports, exact=not heuristic
-    )
+    return IsoperimetricResult(delta, best, argmin, lower_bound, stats,
+                               tuple(reports) if profile else None, exact=not heuristic)
 
 
 def cheeger_constant(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magneto.cli
+import magneto.isoperimetry
 import magneto.spectral
 from conftest import cycle_graph, k2_graph
 from magneto import GroupElement, build_graph, graph_from_json
@@ -168,6 +169,41 @@ def test_missing_file_is_an_error(capsys):
     assert rep["results"]["error"] == "IO_ERROR"
 
 
+def _one_error_line(capsys, argv):
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    rep = json.loads(lines[0])
+    assert rep["status"] == "ERROR"
+    return rep["results"]
+
+
+def _no_tables(g):
+    raise AssertionError("the subset tables were built")
+
+
+@pytest.mark.parametrize("n", [60, 64])
+def test_an_oversized_search_is_refused_before_its_tables(tmp_path, capsys, monkeypatch, n):
+    # numpy sizes no array of 2^60 int64 masks, and 2^64 overflows the masks
+    path = write_graph(tmp_path, cycle_graph(n, 3, 1))
+    monkeypatch.setattr(magneto.isoperimetry, "_subset_tables", _no_tables)
+    assert _one_error_line(capsys, ["cheeger", path, "--subset-limit", "100"]) == {
+        "error": "BUDGET_EXCEEDED", "message": f"{n} vertices exceed subset limit 59"}
+
+
+def test_running_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
+    # 59 vertices pass the cap, and the tables are the first thing the search builds
+    path = write_graph(tmp_path, cycle_graph(59, 3, 1))
+
+    def out_of_memory(g):
+        raise MemoryError("Unable to allocate 4.00 EiB")
+
+    monkeypatch.setattr(magneto.isoperimetry, "_subset_tables", out_of_memory)
+    assert _one_error_line(capsys, ["cheeger", path, "--subset-limit", "100"]) == {
+        "error": "OUT_OF_MEMORY", "message": "Unable to allocate 4.00 EiB"}
+
+
 @pytest.mark.parametrize("text", [
     '{"n": 2, "group": {"kind": "cyclic", "k": 2}}',
     '{"n": 2, "group": {"kind": "cyclic", "k": 2}, "edges": [[0, 1, 1.0]]}',
@@ -207,14 +243,8 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
 def test_malformed_budget_is_an_error(tmp_path, capsys, monkeypatch, raw):
     path = write_graph(tmp_path, cycle_graph(5, 3, 1))
     monkeypatch.setenv("MAGNETO_BUDGET", raw)
-    code = main(["frustration", path])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
-    assert len(lines) == 1
-    rep = json.loads(lines[0])
-    assert rep["status"] == "ERROR"
-    assert rep["results"] == {"error": "BAD_BUDGET",
-                              "message": f"MAGNETO_BUDGET is not an integer: {raw!r}"}
+    assert _one_error_line(capsys, ["frustration", path]) == {
+        "error": "BAD_BUDGET", "message": f"MAGNETO_BUDGET is not an integer: {raw!r}"}
 
 
 def test_stdout_is_deterministic(tmp_path, capsys):

@@ -174,10 +174,10 @@ MAX_N = {2: 9, 3: 9, 4: 8, 5: 7, 6: 6}
 
 
 @st.composite
-def weighted_subsets(draw):
-    """(graph, mask) with signatures, edges and subset from hypothesis and
-    weights and measures uniform on [0.5, 2], so exact ties are the ones the
-    group's symmetry makes."""
+def weighted_graphs(draw):
+    """Graphs with signatures and edges from hypothesis, relabelled by a
+    hypothesis permutation, and weights and measures uniform on [0.5, 2], so
+    exact ties are the ones the group's symmetry makes."""
     k = draw(st.integers(2, 6))
     n = draw(st.integers(2, MAX_N[k]))
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -185,8 +185,14 @@ def weighted_subsets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edges = [(u, v, float(rng.uniform(0.5, 2.0)), GroupElement.cyclic(draw(st.integers(0, k - 1)), k))
              for u, v in sorted(pairs)]
-    g = relabelled(build_graph(n, edges, rng.uniform(0.5, 2.0, size=n)),
-                   draw(st.permutations(range(n))))
+    return relabelled(build_graph(n, edges, rng.uniform(0.5, 2.0, size=n)),
+                      draw(st.permutations(range(n))))
+
+
+@st.composite
+def weighted_subsets(draw):
+    """(graph, mask): a ``weighted_graphs`` graph and a nonempty subset."""
+    g = draw(weighted_graphs())
     return g, draw(st.integers(1, g.full_mask()))
 
 
@@ -208,6 +214,24 @@ def test_exact_matches_the_enumeration_oracle(case):
     assert {u: res.minimizer[u].exponent for u in assignment} == assignment
     assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
     assert res.evaluations == evaluations
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=weighted_graphs())
+def test_values_of_all_subsets_in_one_call_match_frustration_exact(g):
+    # a connected set gets the same float in any block as alone; a
+    # disconnected one is solved as one array in a block, while
+    # frustration_exact sums its components in order, so it may differ by
+    # round-off
+    masks = np.arange(1, 1 << g.n)
+    members = (masks[:, None] >> np.arange(g.n)) & 1 == 1
+    values = magneto.frustration._frustration_values(g, members, 10**7)
+    for mask, value in zip(masks.tolist(), values.tolist()):
+        exact = frustration_exact(g, mask).value
+        if len(g.components_of(mask)) == 1:
+            assert value == exact
+        else:
+            assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 @st.composite

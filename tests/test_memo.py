@@ -1,9 +1,12 @@
 """Exact frustration is computed once per graph and subset, heuristic
-frustration once per graph, subset, restart count and seed, and eigenvalues
-once per graph and signedness. Heat kernels are not kept: the verify suites
-ask for each one once."""
+frustration once per graph, subset, restart count and seed, eigenvalues once
+per graph and signedness, and a subset search once per graph and mode (delta,
+heuristic, budget, restarts, seed, profile). Connected components are found
+afresh on every call, and heat kernels are not kept: the verify suites ask
+for each one once."""
 
 import io
+import math
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 import magneto.frustration
+import magneto.isoperimetry
 import magneto.spectral
 from conftest import random_graph, random_unbalanced_graph
 from magneto import (
@@ -93,35 +97,77 @@ def test_heuristic_frustration_is_kept_per_subset_restarts_and_seed():
 
 
 def test_memo_keeps_the_budget_check():
+    # V of the connected graph is one component, so its gauge-fixed space is
+    # 3^(n-1), and a memo hit still checks it against the budget
     g = random_graph(np.random.default_rng(2), 6, 3)
-    frustration_exact(g, g.full_mask())
-    with pytest.raises(MagnetoError) as err:
-        frustration_exact(g, g.full_mask(), budget=1)
-    assert err.value.code == "BUDGET_EXCEEDED"
+    assert g.components_of(g.full_mask()) == (tuple(range(g.n)),)
+    first = frustration_exact(g, g.full_mask())
+    for budget in (1, 3 ** (g.n - 1) - 1):
+        with pytest.raises(MagnetoError) as err:
+            frustration_exact(g, g.full_mask(), budget=budget)
+        assert err.value.code == "BUDGET_EXCEEDED"
+    assert frustration_exact(g, g.full_mask(), budget=3 ** (g.n - 1)) is first
 
 
-def test_components_are_found_once_per_mask(monkeypatch):
-    # a memo hit skips the component search, and a smaller budget still fails
-    g = random_graph(np.random.default_rng(3), 7, 3)
-    searches = Counter()
-    find = g._find_components
+def test_verify_all_runs_one_search_per_delta(tmp_path, monkeypatch):
+    # the Sobolev suite's h and c_3, the trace suite's c_3 and the product
+    # suite's two h: two distinct searches, each building its tables once
+    g = random_unbalanced_graph(np.random.default_rng(16), 9, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    tables = []
+    subset_tables = magneto.isoperimetry._subset_tables
 
-    def counted(mask):
-        searches[mask] += 1
-        return find(mask)
+    def counted(graph):
+        tables.append(graph)
+        return subset_tables(graph)
 
-    monkeypatch.setattr(g, "_find_components", counted)
-    for _ in range(3):
-        for mask in range(1, 1 << g.n):
-            frustration_exact(g, mask)
-    assert set(searches) == set(range(1, 1 << g.n))
-    assert max(searches.values()) == 1
-    comps = g.components_of(g.full_mask())
-    assert comps == (tuple(range(g.n)),) and comps is g.components_of(g.full_mask())
-    with pytest.raises(MagnetoError) as err:
-        frustration_exact(g, g.full_mask(), budget=3 ** (g.n - 1) - 1)
-    assert err.value.code == "BUDGET_EXCEEDED"
-    assert searches[g.full_mask()] == 1
+    monkeypatch.setattr(magneto.isoperimetry, "_subset_tables", counted)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path), "--suite", "all", "--trials", "5"])
+    assert code == 0
+    assert len(tables) == 2 and tables[0] is tables[1]
+
+
+def test_a_repeated_search_returns_the_kept_result():
+    g = random_unbalanced_graph(np.random.default_rng(17), 8, 4)
+    h = cheeger_constant(g)
+    assert cheeger_constant(g) is h
+    assert isoperimetric_constant(g, math.inf) is h  # the same search
+    c3 = isoperimetric_constant(g, 3.0, profile=True)
+    assert isoperimetric_constant(g, 3.0, profile=True) is c3
+    assert isinstance(c3.profile, tuple) and h.profile is None
+
+
+def test_a_kept_search_still_checks_the_subset_limit_and_budget():
+    g = random_graph(np.random.default_rng(18), 7, 3)
+    first = cheeger_constant(g)
+    for kw in ({"subset_limit": g.n - 1}, {"budget": 3 ** (g.n - 1) - 1}):
+        errors = []
+        for graph in (g, graph_from_json(g.to_json())):
+            with pytest.raises(MagnetoError) as err:
+                cheeger_constant(graph, **kw)
+            errors.append((err.value.code, err.value.message))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "BUDGET_EXCEEDED"
+    assert cheeger_constant(g) is first  # a failed search keeps nothing
+
+
+def test_search_modes_do_not_share_entries():
+    # heuristic modes first: an entry they left must not answer an exact search
+    g = random_unbalanced_graph(np.random.default_rng(19), 8, 4)
+    modes = [{"heuristic": True, "restarts": 1, "seed": 5},
+             {"heuristic": True, "restarts": 1, "seed": 6},
+             {"heuristic": True, "restarts": 2, "seed": 5},
+             {"heuristic": True, "restarts": 1, "seed": 5, "profile": True},
+             {}, {"profile": True}, {"seed": 5}, {"restarts": 1}]
+    kept = [cheeger_constant(g, **kw) for kw in modes]
+    assert len({id(res) for res in kept}) == len(modes)
+    for kw, res in zip(modes, kept):
+        assert cheeger_constant(g, **kw) is res
+        assert res == cheeger_constant(graph_from_json(g.to_json()), **kw)
+        assert res.exact is not kw.get("heuristic", False)
+        assert (res.profile is None) is not kw.get("profile", False)
 
 
 def counted_eigendecompositions(monkeypatch):
