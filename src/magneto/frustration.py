@@ -469,9 +469,10 @@ def _pack_cycles(g):
     # arcs[u]: (neighbour, edge index, signature exponent from u), in adjacency order
     arcs = [[(v, idx, sig[idx] if stored else -sig[idx] % k) for v, idx, stored in nbrs]
             for nbrs in g.adjacency()]
+    floor = [0] * g.n
     packing = []
     while True:
-        walk = _shortest_frustrated_walk(arcs, k)
+        walk = _shortest_frustrated_walk(arcs, k, floor)
         if walk is None or len(set(walk[0])) < len(walk[0]):  # the second cannot happen
             return tuple(packing)
         verts, edges, sigma = walk
@@ -481,7 +482,7 @@ def _pack_cycles(g):
         arcs = [[arc for arc in out if arc[1] not in cut] for out in arcs]
 
 
-def _shortest_frustrated_walk(arcs, k):
+def _shortest_frustrated_walk(arcs, k, floor):
     """(vertices, edge indices, sigma) of a shortest closed walk along
     ``arcs`` whose signature xi^sigma is not 1, or None; ties go to the lowest
     root, then to BFS order.
@@ -489,12 +490,21 @@ def _shortest_frustrated_walk(arcs, k):
     A shortest one over all roots is a simple cycle: a repeated vertex would
     split it into two shorter closed walks whose signatures multiply to its
     own, so one of them would be frustrated.
+
+    ``floor[root]`` is a lower bound on the length of the root's shortest
+    frustrated closed walk, updated in place from each BFS: the length of the
+    walk it finds, or the limit it searched under if it finds none. Arcs are
+    only ever removed between calls, which never shortens a walk, so a root
+    whose floor reaches the current limit would find none and is skipped.
     """
     best, limit = None, len(arcs) + 1  # a simple cycle has at most n edges
     for root in range(len(arcs)):
+        if floor[root] >= limit:
+            continue
         walk = _frustrated_walk_from(arcs, k, root, limit)
         if walk is not None:
             best, limit = walk, len(walk[1])
+        floor[root] = limit
     return best
 
 

@@ -144,11 +144,14 @@ def coarea_lhs(g: MagneticGraph, f, budget: int = DEFAULT_BUDGET):
     level = srt > prev  # the distinct positive values of |f| (NaN is none)
     r, j = np.nonzero(level)
     members = rows[r] >= srt[r, j, None]
-    index = {}
-    which = np.array([index.setdefault(key, len(index))
-                      for key in map(bytes, np.packbits(members, axis=1))], dtype=np.intp)
-    distinct = np.zeros((len(index), g.n), dtype=bool)
-    distinct[which] = members
+    # the distinct sets in order of first appearance, as the row-by-row
+    # computation meets them
+    packed = np.packbits(members, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    which = np.argsort(rank)[which]
+    distinct = members[first[rank]]
     iota = np.zeros(srt.shape)
     iota[r, j] = _frustration_values(g, distinct, budget)[which]
     if len(unnormalized):

@@ -87,19 +87,32 @@ def _volume_exponent(delta: float) -> float:
 
 
 def _subset_tables(g: MagneticGraph):
-    """Boundary, volume and popcount for every nonempty subset mask. The bits
-    are boolean arrays, one byte per subset and vertex; a weight times a bit
-    is the weight or 0.0."""
-    n = g.n
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    bits = [(masks >> u) & 1 == 1 for u in range(n)]
-    vol = sum(g.mu[u] * bits[u] for u in range(n))
-    bnd = np.zeros(len(masks))
-    for idx in range(g.m):
-        u, v = int(g.eu[idx]), int(g.ev[idx])
-        bnd += g.ew[idx] * (bits[u] != bits[v])
-    pop = sum(bits)
-    return masks, bnd, vol, pop
+    """Boundary, volume and popcount (uint8) of every subset, indexed by its
+    mask, the empty one included.
+
+    Volume and popcount double once per vertex u in ascending order: a mask
+    whose top bit is u gets the entry of the mask without it plus mu(u),
+    resp. 1. Each edge (u < v), in
+    storage order, adds its weight through the two strided views of the masks
+    that hold exactly one of bits u and v. So every entry sums its terms in
+    ascending vertex and storage order, leaving out only zeros.
+    """
+    vol, pop = np.zeros(1), np.zeros(1, dtype=np.uint8)
+    for m in g.mu.tolist():
+        vol, pop = np.concatenate((vol, vol + m)), np.concatenate((pop, pop + 1))
+    bnd = np.zeros(1 << g.n)
+    for u, v, w in zip(g.eu.tolist(), g.ev.tolist(), g.ew.tolist()):
+        # axes: the bits above v, bit v, the bits between, bit u, the bits below u
+        cut = bnd.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)
+        cut[:, 0, :, 1] += w
+        cut[:, 1, :, 0] += w
+    return bnd, vol, pop
+
+
+def _in_popcount_order(masks, pop) -> np.ndarray:
+    """Increasing masks, stably sorted on their popcounts (a radix sort of
+    uint8): in increasing popcount, then increasing mask."""
+    return masks[np.argsort(pop[masks], kind="stable")]
 
 
 def _spectral_bounds(g: MagneticGraph, masks, pop, bnd, vol, exponent: float) -> np.ndarray:
@@ -167,7 +180,7 @@ def _minimize_quotient(
 ) -> IsoperimetricResult:
     if g.n == 0:
         raise MagnetoError("EMPTY_GRAPH", "no nonempty subsets")
-    limit = min(subset_limit, 59)  # numpy sizes no table of 2^n int64 masks past n = 59
+    limit = min(subset_limit, 59)  # numpy sizes no table of 2^n floats past n = 59
     if g.n > limit:
         raise MagnetoError("BUDGET_EXCEEDED", f"{g.n} vertices exceed subset limit {limit}")
     if g.group_kind == CIRCLE and not heuristic:
@@ -183,57 +196,62 @@ def _search(g, delta, heuristic, budget, restarts, seed, profile) -> Isoperimetr
         return frustration_exact(g, mask, budget=budget)
 
     exponent = _volume_exponent(delta)
-    masks, bnd, vol, pop = _subset_tables(g)
-    order = np.lexsort((masks, pop))
+    bnd, vol, pop = _subset_tables(g)
     # quotient at V (boundary 0) seeds the pruning threshold
     seed_quot = float(frustration_of(g.full_mask()).value / vol[-1] ** exponent)
-    # Three array passes drop the subsets whose boundary bound, then cycle
-    # bound, then spectral bound exceeds the threshold; the slack keeps a
-    # superset of the loop's survivors, and the loop's test still decides. A
-    # subset the boundary pass drops has a quotient above seed_quot, the
-    # quotient at V, so the least of max(cycle bound, spectral bound) over
-    # the boundary survivors (V among them) is a lower bound on the constant.
-    # A subset the cycle pass drops has a cycle bound above the threshold,
-    # which V's bounds do not exceed, so the spectral bound is not needed
-    # there. Only an exact profiled search needs no bound.
+    # Three array passes over the nonempty masks, in increasing order, drop
+    # the subsets whose boundary bound, then cycle bound, then spectral bound
+    # exceeds the threshold; the slack keeps a superset of the loop's
+    # survivors, and the loop's test still decides. A subset the boundary
+    # pass drops has a quotient above seed_quot, the quotient at V, so the
+    # least of max(cycle bound, spectral bound) over the boundary survivors
+    # (V among them) is a lower bound on the constant. A subset the cycle
+    # pass drops has a cycle bound above the threshold, which V's bounds do
+    # not exceed, so the spectral bound is not needed there. Only an exact
+    # profiled search needs no bound. The subsets left for the loop, all of
+    # them when profiled, are put in popcount order last.
     threshold = seed_quot * (1 + 1e-9)
-    survivors = order[bnd[order] / vol[order] ** exponent <= threshold]
+    ratio = vol[1:] ** exponent
+    np.divide(bnd[1:], ratio, out=ratio)
+    survivors = 1 + np.flatnonzero(ratio <= threshold)
+    del ratio
     bounds = None
     pruned_cycles = pruned_spectral = 0
     if heuristic or not profile:
-        s_masks, s_pop, s_bnd, s_vol = (a[survivors] for a in (masks, pop, bnd, vol))
-        bounds = _cycle_bounds(g, s_masks, s_bnd, s_vol, exponent)
+        s_pop, s_bnd, s_vol = (a[survivors] for a in (pop, bnd, vol))
+        bounds = _cycle_bounds(g, survivors, s_bnd, s_vol, exponent)
         kept = np.arange(len(survivors)) if profile else np.flatnonzero(bounds <= threshold)
         spectral = _spectral_bounds(
-            g, s_masks[kept], s_pop[kept], s_bnd[kept], s_vol[kept], exponent
+            g, survivors[kept], s_pop[kept], s_bnd[kept], s_vol[kept], exponent
         )
         bounds[kept] = np.maximum(bounds[kept], spectral)
         if not profile:
             order = survivors[kept[spectral <= threshold]]
             pruned_cycles = len(survivors) - len(kept)
             pruned_spectral = len(kept) - len(order)
+    order = _in_popcount_order(np.arange(1, 1 << g.n) if profile else order, pop)
 
     best = math.inf
     argmin = None
     evaluated = 0
     reports = [] if profile else None
-    for i in order:
-        mask = int(masks[i])
-        lb = bnd[i] / vol[i] ** exponent
+    for mask in order.tolist():
+        lb = bnd[mask] / vol[mask] ** exponent
         if not profile and lb > min(best, seed_quot):
             continue
         evaluated += 1
         fr = frustration_of(mask)
-        quot = float((fr.value + bnd[i]) / vol[i] ** exponent)
+        quot = float((fr.value + bnd[mask]) / vol[mask] ** exponent)
         cut = CutReport(
-            tuple(g.mask_vertices(mask)), fr.value, float(bnd[i]), float(vol[i]), quot
+            tuple(g.mask_vertices(mask)), fr.value, float(bnd[mask]), float(vol[mask]), quot
         )
         if profile:
             reports.append(cut)
         if quot < best:
             best, argmin = quot, cut
-    pruned_boundary = len(masks) - pruned_cycles - pruned_spectral - evaluated
-    stats = SearchStats(len(masks), pruned_boundary, pruned_cycles, pruned_spectral, evaluated)
+    subsets = (1 << g.n) - 1
+    pruned_boundary = subsets - pruned_cycles - pruned_spectral - evaluated
+    stats = SearchStats(subsets, pruned_boundary, pruned_cycles, pruned_spectral, evaluated)
     lower_bound = float(bounds.min()) if heuristic else best
     return IsoperimetricResult(delta, best, argmin, lower_bound, stats,
                                tuple(reports) if profile else None, exact=not heuristic)

@@ -1,5 +1,7 @@
 """Shared graph builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from magneto import GroupElement, build_graph
@@ -61,3 +63,13 @@ def sorted_eigs(g, signed=True):
     from magneto import spectral_data
 
     return np.sort(spectral_data(g, signed=signed).eigenvalues)
+
+
+def peak_bytes(solve):
+    """The tracemalloc peak of one call of ``solve``."""
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magneto.frustration
-from conftest import circle_cycle, cycle_graph, k2_graph, random_graph
+from conftest import circle_cycle, cycle_graph, k2_graph, peak_bytes, random_graph
 from frustration_oracle import enumerate_frustration, lex_first_min_count
 from heuristic_oracle import heuristic_frustration
 from magneto import (
@@ -295,14 +294,9 @@ def test_heuristic_memory_does_not_grow_with_restarts():
     # rows are swept in blocks of about _CHUNK // (k * deg + edges), so many
     # restarts cost time, not memory
     g = cycle_graph(8, 3, 1)
-    peaks = []
-    for restarts in (3000, 30000):
-        tracemalloc.start()
-        try:
-            frustration_heuristic(g, g.full_mask(), restarts=restarts, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_bytes(lambda r=restarts: frustration_heuristic(g, g.full_mask(), restarts=r,
+                                                                 seed=1))
+             for restarts in (3000, 30000)]
     assert peaks[1] < 1.5 * peaks[0]
 
 
@@ -341,21 +335,12 @@ def test_exact_ties_go_to_the_lexicographically_first_minimizer(seed):
             assert res.value == pytest.approx(count * x[g.group_order], rel=1e-12)
 
 
-def _peak_bytes(solve):
-    tracemalloc.start()
-    try:
-        solve()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_a_sparse_component_keeps_small_arrays():
     # a 14-cycle at k = 3 has 3^13 gauge-fixed assignments, but no step's
     # array holds more than 3^2 entries
     g = cycle_graph(14, 3, 1)
     frustration_exact(cycle_graph(5, 3, 1), 31)  # lazy imports and first-call caches
-    assert _peak_bytes(lambda: frustration_exact(g, g.full_mask())) < 64 * 1024
+    assert peak_bytes(lambda: frustration_exact(g, g.full_mask())) < 64 * 1024
     assert frustration_exact(g, g.full_mask()).value == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
 
@@ -370,7 +355,7 @@ def test_a_dense_component_peaks_at_about_one_array():
     array = k ** (n - 1) * 8
     members = np.ones((1, n), dtype=bool)
     value = magneto.frustration._frustration_values(g, members, 10**7)[0]
-    assert _peak_bytes(lambda: frustration_exact(g, g.full_mask())) < 1.5 * array
-    assert _peak_bytes(lambda: magneto.frustration._frustration_values(g, members, 10**7)) \
+    assert peak_bytes(lambda: frustration_exact(g, g.full_mask())) < 1.5 * array
+    assert peak_bytes(lambda: magneto.frustration._frustration_values(g, members, 10**7)) \
         < 1.5 * array
     assert frustration_exact(g, g.full_mask()).value == value

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magneto.isoperimetry
-from conftest import circle_cycle, cycle_graph, k2_graph, random_graph
+from conftest import circle_cycle, cycle_graph, k2_graph, peak_bytes, random_graph
 from frustration_oracle import enumerate_frustration
+from packing_oracle import all_roots_packing
+from subset_tables_oracle import bit_array_tables
 from magneto import (
     GroupElement,
     MagnetoError,
@@ -164,6 +166,53 @@ def test_pruned_and_profiled_runs_agree(case):
                 exact_h = fast.constant
 
 
+def nonempty_tables(g):
+    """(masks, bnd, vol, pop) of the search's tables over the nonempty masks."""
+    bnd, vol, pop = magneto.isoperimetry._subset_tables(g)
+    return np.arange(1, 1 << g.n), bnd[1:], vol[1:], pop[1:]
+
+
+def check_tables_against_the_oracle(g):
+    # every float bit for bit; and any set of survivors, in mask order, in
+    # the loop's order, which was the full sort's order restricted to them
+    masks, bnd, vol, pop = bit_array_tables(g)
+    tab_bnd, tab_vol, tab_pop = magneto.isoperimetry._subset_tables(g)
+    assert (tab_bnd[0], tab_vol[0], tab_pop[0]) == (0.0, 0.0, 0)
+    assert tab_bnd[1:].tobytes() == bnd.tobytes()
+    assert tab_vol[1:].tobytes() == vol.tobytes()
+    assert tab_pop.dtype == np.uint8 and np.array_equal(tab_pop[1:], pop)
+    order = np.lexsort((masks, pop))
+    ratio = bnd / vol
+    for keep in (ratio >= 0.0, ratio <= np.median(ratio), pop % 3 == 1):
+        assert np.array_equal(magneto.isoperimetry._in_popcount_order(masks[keep], tab_pop),
+                              masks[order][keep[order]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=search_graphs(10))
+def test_subset_tables_match_the_bit_array_oracle(case):
+    check_tables_against_the_oracle(case[0])
+
+
+@pytest.mark.parametrize("graph", ["torus", "random18"])
+def test_subset_tables_match_the_bit_array_oracle_at_scale(graph):
+    g = torus()[0] if graph == "torus" else random_graph(np.random.default_rng(18), 18, 3)
+    check_tables_against_the_oracle(g)
+
+
+def c3c3k2():
+    return cartesian_product_many([cycle_graph(3, 2, 1), cycle_graph(3, 2, 1), k2_graph(2, 1)])
+
+
+def test_an_exact_search_at_n18_keeps_small_tables():
+    # 2^18 subsets: the boundary and volume tables take 2 MiB each; one
+    # boolean array per vertex and a full sort took the peak to 16 MiB
+    cheeger_constant(cycle_graph(5, 2, 1))  # lazy imports and first-call caches
+    g = c3c3k2()
+    assert peak_bytes(lambda: cheeger_constant(g, subset_limit=18)) < 12 * 2**20
+    assert cheeger_constant(g, subset_limit=18).constant == 1.3333333333333333
+
+
 def induced_lambda_1(g, mask):
     """Least eigenvalue of the Laplacian of the subgraph induced on ``mask``,
     built as a graph of its own."""
@@ -181,7 +230,7 @@ def test_spectral_bound_lies_below_frustration(case):
     # iota(S) >= lambda_1(L_S) vol(S) / 2 on every subset S; the search's
     # bound, with boundary 0 and exponent 1, is (lambda_1 - tol) / 2 or 0
     g, _ = case
-    masks, _, vol, pop = magneto.isoperimetry._subset_tables(g)
+    masks, _, vol, pop = nonempty_tables(g)
     half = magneto.isoperimetry._spectral_bounds(g, masks, pop, np.zeros(len(masks)), vol, 1.0)
     d_mu = g.max_mu_degree()
     for mask, h, v in zip(masks.tolist(), half, vol):
@@ -226,7 +275,7 @@ def test_spectral_filter_keeps_the_torus_search():
 def c3c3k2_searches():
     """Every search on criterion 08's product c3 x c3 x K2 (n = 18), on one
     graph object so that the four share its frustration memo."""
-    g = cartesian_product_many([cycle_graph(3, 2, 1), cycle_graph(3, 2, 1), k2_graph(2, 1)])
+    g = c3c3k2()
     return {(heuristic, delta): isoperimetric_constant(
                 g, delta, heuristic=heuristic, subset_limit=18, restarts=4)
             for heuristic in (False, True) for delta in (math.inf, 3.0)}
@@ -246,7 +295,7 @@ def test_spectral_filter_keeps_the_c3c3k2_search(c3c3k2_searches, heuristic, del
 def test_spectral_filter_prunes_most_c3c3k2_subsets(c3c3k2_searches):
     # 7,578 subsets pass the boundary test; solving each was the old cost.
     # Without the cycle filter, the spectral one drops most of them
-    g = cartesian_product_many([cycle_graph(3, 2, 1), cycle_graph(3, 2, 1), k2_graph(2, 1)])
+    g = c3c3k2()
     with no_cycles():
         res = cheeger_constant(g, subset_limit=18)
     assert res.constant == c3c3k2_searches[(False, math.inf)].constant
@@ -298,7 +347,7 @@ def test_cycle_bound_lies_below_frustration(case):
     g, _ = case
     packing = magneto.isoperimetry.frustrated_cycle_packing(g)
     assert (not packing) == g.is_balanced()[0]
-    masks, _, vol, _ = magneto.isoperimetry._subset_tables(g)
+    masks, _, vol, _ = nonempty_tables(g)
     bound = magneto.isoperimetry._cycle_bounds(g, masks, np.zeros(len(masks)), vol, 1.0) * vol
     for mask, b in zip(masks.tolist(), bound):
         iota = enumerate_frustration(g, mask)[0]
@@ -328,6 +377,39 @@ def test_packed_cycles_are_simple_disjoint_and_frustrated(case):
         lengths.append(len(verts))
     # removing edges never shortens the shortest frustrated cycle
     assert lengths == sorted(lengths)
+
+
+DENSE_UNIT = build_graph(8, [(u, v, 1.0, GroupElement.cyclic((u * v) % 3, 3))
+                             for u in range(8) for v in range(u + 1, 8)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=search_graphs(9))
+@example(case=(DENSE_UNIT, "none"))
+def test_packing_equals_the_all_roots_oracle(case):
+    # a root skipped for its bound would have found no shorter walk, so the
+    # packing, ties included, is the one that searched from every root
+    g, _ = case
+    assert magneto.isoperimetry.frustrated_cycle_packing(g) == all_roots_packing(g)
+
+
+def test_packing_skips_settled_roots_on_the_torus():
+    # 8 packed 4-cycles and a last round that finds none: 9 rounds of 16
+    # roots from scratch, 39 searches with the roots' bounds kept
+    calls = []
+    walk_from = magneto.frustration._frustrated_walk_from
+
+    def counted(*args):
+        calls.append(args[2])
+        return walk_from(*args)
+
+    with mock.patch.object(magneto.frustration, "_frustrated_walk_from", counted):
+        packing = magneto.isoperimetry.frustrated_cycle_packing(torus()[0])
+        assert len(calls) == 39
+        calls.clear()
+        with mock.patch("packing_oracle._frustrated_walk_from", counted):
+            assert all_roots_packing(torus()[0]) == packing
+        assert len(calls) == 144
 
 
 def test_circle_and_trivial_groups_pack_nothing():
