@@ -98,17 +98,23 @@ def _cut_digest(cut) -> dict:
     }
 
 
-def cmd_cheeger(args):
+def _search(args, delta: float, profile: bool = False):
+    """The subset search of ``cheeger`` (delta = inf) and ``isoperimetric``."""
     g = _load_graph(args.graph)
-    res = isoperimetry.cheeger_constant(
+    return isoperimetry.isoperimetric_constant(
         g,
+        delta,
         heuristic=args.heuristic,
         subset_limit=args.subset_limit,
         budget=_budget(),
         restarts=args.restarts,
         seed=args.seed,
-        profile=args.profile,
+        profile=profile,
     )
+
+
+def cmd_cheeger(args):
+    res = _search(args, math.inf, args.profile)
     out = {"h": res.constant, "argmin": _cut_digest(res.argmin), "exact": res.exact}
     if args.profile:
         out["profile"] = [_cut_digest(c) for c in res.profile]
@@ -116,16 +122,7 @@ def cmd_cheeger(args):
 
 
 def cmd_isoperimetric(args):
-    g = _load_graph(args.graph)
-    res = isoperimetry.isoperimetric_constant(
-        g,
-        args.delta,
-        heuristic=args.heuristic,
-        subset_limit=args.subset_limit,
-        budget=_budget(),
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    res = _search(args, args.delta)
     return {
         "delta": args.delta,
         "c_delta": res.constant,
@@ -283,6 +280,15 @@ class _Parser(argparse.ArgumentParser):
         raise MagnetoError("USAGE", message)
 
 
+def _add_search_flags(p, func) -> None:
+    """The flags and handler of a subset-search command, after its own flags."""
+    p.add_argument("--heuristic", action="store_true")
+    p.add_argument("--subset-limit", type=int, default=isoperimetry.DEFAULT_SUBSET_LIMIT)
+    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=func)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not change it."""
@@ -300,20 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cheeger", help="signed 1-way Cheeger constant")
     p.add_argument("graph")
     p.add_argument("--profile", action="store_true")
-    p.add_argument("--heuristic", action="store_true")
-    p.add_argument("--subset-limit", type=int, default=isoperimetry.DEFAULT_SUBSET_LIMIT)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_cheeger)
+    _add_search_flags(p, cmd_cheeger)
 
     p = sub.add_parser("isoperimetric", help="isoperimetric constant c_delta")
     p.add_argument("graph")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--heuristic", action="store_true")
-    p.add_argument("--subset-limit", type=int, default=isoperimetry.DEFAULT_SUBSET_LIMIT)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_isoperimetric)
+    _add_search_flags(p, cmd_isoperimetric)
 
     p = sub.add_parser("product", help="signed Cartesian product of graph files")
     p.add_argument("graphs", nargs="+")

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import MagnetoError
 from .frustration import DEFAULT_BUDGET, _frustration_values, frustration_exact
 from .graph import MagneticGraph
-from .groups import CIRCLE, CYCLIC, TWO_PI
-from .isoperimetry import cheeger_constant, isoperimetric_constant
+from .groups import CIRCLE, TWO_PI
+from .isoperimetry import isoperimetric_constant
 
 _SAT_TOL = 1e-9
 _DISK_TOL = 1e-12
@@ -32,7 +32,7 @@ def _check_t(t: float) -> None:
 def sector_function(z: complex, t: float, theta: float, k: int) -> complex:
     """Discretize z to the k-th root of unity of its sector, zero inside |z| < t."""
     _check_t(t)
-    if abs(z) > 1.0 + _DISK_TOL:
+    if not abs(z) <= 1.0 + _DISK_TOL:  # NaN fails too
         raise MagnetoError("OUT_OF_DISK", "z must lie in the closed unit disk")
     if abs(z) < t:
         return 0j
@@ -44,11 +44,19 @@ def sector_function(z: complex, t: float, theta: float, k: int) -> complex:
 def radial_function(z: complex, t: float) -> complex:
     """z/|z| outside the open disk of radius t, zero inside."""
     _check_t(t)
-    if abs(z) > 1.0 + _DISK_TOL:
+    if not abs(z) <= 1.0 + _DISK_TOL:  # NaN fails too
         raise MagnetoError("OUT_OF_DISK", "z must lie in the closed unit disk")
     if abs(z) < t:
         return 0j
     return z / abs(z)
+
+
+def _check_disk(r1, r2) -> None:
+    """OUT_OF_DISK unless every modulus is at most 1 (up to _DISK_TOL). A NaN
+    modulus fails too: max propagates it, and NaN <= 1 is false."""
+    top = 1.0 + _DISK_TOL
+    if not (r1.max(initial=0.0) <= top and r2.max(initial=0.0) <= top):
+        raise MagnetoError("OUT_OF_DISK", "points must lie in the closed unit disk")
 
 
 def key_average_cyclic_batch(z1, z2, k: int) -> np.ndarray:
@@ -61,9 +69,11 @@ def key_average_cyclic_batch(z1, z2, k: int) -> np.ndarray:
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
-    swap = np.abs(z2) > np.abs(z1)
-    z1, z2 = np.where(swap, z2, z1), np.where(swap, z1, z2)
     r1, r2 = np.abs(z1), np.abs(z2)
+    _check_disk(r1, r2)
+    swap = r2 > r1
+    z1, z2 = np.where(swap, z2, z1), np.where(swap, z1, z2)
+    r1, r2 = np.maximum(r1, r2), np.minimum(r1, r2)  # the moduli of the swapped points
     x = ((np.angle(z1) - np.angle(z2)) % TWO_PI) * k / TWO_PI
     m = np.floor(x)
     phi = x - m
@@ -74,8 +84,6 @@ def key_average_cyclic_batch(z1, z2, k: int) -> np.ndarray:
 
 def key_average_cyclic(z1: complex, z2: complex, k: int) -> float:
     """(1/2pi) int int |Y_{t,theta}(z1) - Y_{t,theta}(z2)| dt dtheta, <= 3|z1-z2|."""
-    if abs(z1) > 1.0 + _DISK_TOL or abs(z2) > 1.0 + _DISK_TOL:
-        raise MagnetoError("OUT_OF_DISK", "points must lie in the closed unit disk")
     return float(key_average_cyclic_batch([z1], [z2], k)[0])
 
 
@@ -88,9 +96,10 @@ def key_average_circle_batch(z1, z2) -> np.ndarray:
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
     r1, r2 = np.abs(z1), np.abs(z2)
+    _check_disk(r1, r2)
     swap = r2 > r1
     z1, z2 = np.where(swap, z2, z1), np.where(swap, z1, z2)
-    r1, r2 = np.abs(z1), np.abs(z2)
+    r1, r2 = np.maximum(r1, r2), np.minimum(r1, r2)  # the moduli of the swapped points
     hi = np.where(r1 > 0, np.divide(z1, np.where(r1 > 0, r1, 1.0)), 0)
     lo = np.where(r2 > 0, np.divide(z2, np.where(r2 > 0, r2, 1.0)), 0)
     out = np.abs(hi - lo) * r2 + (r1 - r2)
@@ -222,25 +231,31 @@ def verify_sobolev(
     of a stack of them along the last axis.
 
     Modes: ``iso_p1`` and ``iso_general`` need (delta, c_delta); ``cheeger_p1``
-    and ``cheeger_p`` need h. The reported quotient is gradient/norm, so the
-    inequality reads quotient >= bound_low.
+    and ``cheeger_p`` need h, and since h is c_inf they are ``iso_p1`` and
+    ``iso_general`` at delta = inf with c_delta = h (``cheeger_p`` first checks
+    p >= 1). The reported quotient is gradient/norm, so the inequality reads
+    quotient >= bound_low.
     """
     f = np.ascontiguousarray(f, dtype=complex)
     if not np.all(np.any(f, axis=-1)):
         raise MagnetoError("ZERO_FUNCTION", "f must be nonzero")
     factor = _sobolev_factor(g)
-    if mode in ("iso_p1", "iso_general"):
-        if delta is None or c_delta is None:
-            raise MagnetoError("BAD_EXPONENTS", "iso modes need delta and c_delta")
-        if c_delta <= 0.0:
-            raise MagnetoError("ZERO_CONSTANT", "c_delta must be positive")
     if mode in ("cheeger_p1", "cheeger_p"):
         if h is None:
             raise MagnetoError("BAD_EXPONENTS", "cheeger modes need h")
         if h <= 0.0:
             raise MagnetoError("ZERO_CONSTANT", "h must be positive")
+        if mode == "cheeger_p" and p < 1.0:
+            raise MagnetoError("BAD_EXPONENTS", f"need p >= 1, got {p}")
+        mode = "iso_p1" if mode == "cheeger_p1" else "iso_general"
+        delta, c_delta = math.inf, h
+    if mode in ("iso_p1", "iso_general"):
+        if delta is None or c_delta is None:
+            raise MagnetoError("BAD_EXPONENTS", "iso modes need delta and c_delta")
+        if c_delta <= 0.0:
+            raise MagnetoError("ZERO_CONSTANT", "c_delta must be positive")
 
-    # at delta = inf (c_inf = h) the exponents take their limits q = 1 and q = p
+    # at delta = inf the exponents take their limits q = 1 and q = p
     if mode == "iso_p1":
         q = 1.0 if delta == math.inf else delta / (delta - 1.0)
         num = signed_gradient_norm(g, f, 1.0)
@@ -260,21 +275,6 @@ def verify_sobolev(
         num = _root(signed_gradient_norm(g, f, p), p)
         den = measure_norm(g, f, q)
         return _make_report(p, q, num, den, 1.0 / c_big)
-
-    if mode == "cheeger_p1":
-        num = signed_gradient_norm(g, f, 1.0)
-        den = _per_function(np.sum(np.abs(f) * g.mu, axis=-1))
-        return _make_report(1.0, 1.0, num, den, h / factor)
-
-    if mode == "cheeger_p":
-        if p < 1.0:
-            raise MagnetoError("BAD_EXPONENTS", f"need p >= 1, got {p}")
-        dmu = g.max_mu_degree()
-        dmu_pow = 1.0 if p == 1.0 else dmu ** (1.0 - 1.0 / p)
-        c_big = 2.0 * p * dmu_pow * factor / h
-        num = _root(signed_gradient_norm(g, f, p), p)
-        den = measure_norm(g, f, p)
-        return _make_report(p, p, num, den, 1.0 / c_big)
 
     raise MagnetoError("BAD_MODE", f"unknown mode {mode!r}")
 
@@ -339,7 +339,7 @@ def quotient_infimum_search(
 
 def complex_power(z: complex, alpha: float) -> complex:
     """z |z|^{alpha-1}: raises the modulus to alpha, keeps the argument."""
-    if alpha < 1.0:
+    if not alpha >= 1.0:  # NaN too
         raise MagnetoError("BAD_ALPHA", f"alpha must be >= 1, got {alpha}")
     if z == 0:
         return 0j
@@ -352,7 +352,7 @@ def bernoulli_check(z1: complex, z2: complex, alpha: float, tol: float = 1e-12) 
 
 
 def bernoulli_check_batch(z1, z2, alpha: float, tol: float = 1e-12) -> np.ndarray:
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise MagnetoError("BAD_ALPHA", f"alpha must be >= 1, got {alpha}")
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import MagnetoError
 from .groups import ANGLE_TOL, CIRCLE, CYCLIC, TWO_PI, GroupElement
 
-Subset = "int | Iterable[int]"
-
 
 @dataclass(frozen=True)
 class SwitchingAssignment:

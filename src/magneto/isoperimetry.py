@@ -168,27 +168,6 @@ def _scalar_powers(vol, exponent: float) -> np.ndarray:
     return np.array([v ** exponent for v in vol])
 
 
-def _minimize_quotient(
-    g: MagneticGraph,
-    delta: float,
-    heuristic: bool,
-    subset_limit: int,
-    budget: int,
-    restarts: int,
-    seed: int,
-    profile: bool,
-) -> IsoperimetricResult:
-    if g.n == 0:
-        raise MagnetoError("EMPTY_GRAPH", "no nonempty subsets")
-    limit = min(subset_limit, 59)  # numpy sizes no table of 2^n floats past n = 59
-    if g.n > limit:
-        raise MagnetoError("BUDGET_EXCEEDED", f"{g.n} vertices exceed subset limit {limit}")
-    if g.group_kind == CIRCLE and not heuristic:
-        raise MagnetoError("CONTINUOUS_GROUP", "exact search needs a cyclic group")
-    return g.memo(("search", delta, heuristic, budget, restarts, seed, profile),
-                  lambda: _search(g, delta, heuristic, budget, restarts, seed, profile))
-
-
 def _search(g, delta, heuristic, budget, restarts, seed, profile) -> IsoperimetricResult:
     def frustration_of(mask):
         if heuristic:
@@ -266,8 +245,10 @@ def cheeger_constant(
     seed: int = 0,
     profile: bool = False,
 ) -> IsoperimetricResult:
-    """1-way signed Cheeger constant h = min (iota + boundary) / volume."""
-    return _minimize_quotient(
+    """1-way signed Cheeger constant h = min (iota + boundary) / volume, which
+    is the isoperimetric constant c_inf: the search of
+    ``isoperimetric_constant(g, math.inf, ...)``, kept under the same key."""
+    return isoperimetric_constant(
         g, math.inf, heuristic, subset_limit, budget, restarts, seed, profile
     )
 
@@ -285,9 +266,15 @@ def isoperimetric_constant(
     """Best constant c_delta with iota + boundary >= c_delta vol^((delta-1)/delta)."""
     if not delta > 1.0:
         raise MagnetoError("BAD_DELTA", f"delta must be > 1, got {delta}")
-    return _minimize_quotient(
-        g, delta, heuristic, subset_limit, budget, restarts, seed, profile
-    )
+    if g.n == 0:
+        raise MagnetoError("EMPTY_GRAPH", "no nonempty subsets")
+    limit = min(subset_limit, 59)  # numpy sizes no table of 2^n floats past n = 59
+    if g.n > limit:
+        raise MagnetoError("BUDGET_EXCEEDED", f"{g.n} vertices exceed subset limit {limit}")
+    if g.group_kind == CIRCLE and not heuristic:
+        raise MagnetoError("CONTINUOUS_GROUP", "exact search needs a cyclic group")
+    return g.memo(("search", delta, heuristic, budget, restarts, seed, profile),
+                  lambda: _search(g, delta, heuristic, budget, restarts, seed, profile))
 
 
 @dataclass(frozen=True)

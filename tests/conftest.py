@@ -1,10 +1,23 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and helpers for the test suite."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 
 from magneto import GroupElement, build_graph
+
+# A failing @given test makes hypothesis import this module, and libcst
+# through it, to suggest a patch; libcst's DeprecationWarning, an error under
+# the suite's filters, would then replace the test's report with an
+# INTERNALERROR. Imported here once, with that warning ignored, it is cached.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed
+        pass
 
 
 def cycle_graph(n, k, j, weight=1.0, mu=None):
@@ -73,3 +86,20 @@ def peak_bytes(solve):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_report_matches(got, want, where):
+    """A CLI report matches its record key for key: ints, bools, strings and
+    subsets exactly, floats within 1e-12 relative."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12), where
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_report_matches(a, b, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where

@@ -110,6 +110,33 @@ def test_key_average_cyclic_degenerate_cases():
         key_average_cyclic(2.0, 0j, 4)
 
 
+@pytest.mark.parametrize("z", [2.0, 1.0 + 1e-9, complex(math.nan, 0.0), complex(math.inf, 0.0)])
+def test_points_outside_the_disk_and_a_nan_alpha_are_rejected(z):
+    for call in (
+        lambda: key_average_cyclic(z, 0.5, 3),
+        lambda: key_average_cyclic(0.5j, z, 3),
+        lambda: key_average_cyclic_batch([0.5, z], [0.5, 0.5j], 3),
+        lambda: key_average_cyclic_batch([0.5, 0.5j], [0.5, z], 3),
+        lambda: key_average_circle(z, 0.5),
+        lambda: key_average_circle(0.5j, z),
+        lambda: key_average_circle_batch([0.5, z], [0.5, 0.5j]),
+        lambda: key_average_circle_batch([0.5, 0.5j], [0.5, z]),
+        lambda: sector_function(z, 0.5, 0.0, 4),
+        lambda: radial_function(z, 0.5),
+    ):
+        with pytest.raises(MagnetoError) as err:
+            call()
+        assert err.value.code == "OUT_OF_DISK"
+    for call in (
+        lambda: complex_power(z, math.nan),
+        lambda: bernoulli_check(z, 0.5, math.nan),
+        lambda: bernoulli_check_batch([z], [0.5], math.nan),
+    ):
+        with pytest.raises(MagnetoError) as err:
+            call()
+        assert err.value.code == "BAD_ALPHA"
+
+
 def test_key_average_cyclic_matches_quadrature_oracle():
     rng = np.random.default_rng(53)
     r = np.sqrt(rng.uniform(0.0, 1.0, (2, 300)))
@@ -326,11 +353,6 @@ def test_verify_sobolev_modes_and_errors():
     ]:
         assert rep.satisfied
         assert rep.quotient == pytest.approx(rep.numerator / rep.denominator)
-    # delta = inf takes the limits q = 1 and q = p, where c_inf = h
-    assert verify_sobolev(g, f, "iso_p1", delta=math.inf, c_delta=h) == \
-        verify_sobolev(g, f, "cheeger_p1", h=h)
-    assert verify_sobolev(g, f, "iso_general", p=2.0, delta=math.inf, c_delta=h) == \
-        verify_sobolev(g, f, "cheeger_p", p=2.0, h=h)
 
     with pytest.raises(MagnetoError) as err:
         verify_sobolev(g, f, "iso_p1")
@@ -347,6 +369,37 @@ def test_verify_sobolev_modes_and_errors():
     with pytest.raises(MagnetoError) as err:
         verify_sobolev(g, f, "nope", h=h)
     assert err.value.code == "BAD_MODE"
+
+
+def _report_fields(rep):
+    """A report's fields as lists, which compare with == for a stack too."""
+    return [np.asarray(x).tolist() for x in dataclasses.astuple(rep)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.e, 3.7])
+def test_cheeger_modes_are_the_iso_modes_at_delta_inf(p):
+    # delta = inf takes the limits q = 1 and q = p, where c_inf = h
+    rng = np.random.default_rng(71)
+    graphs = [cycle_graph(5, 3, 1, mu=[1.0, 2.0, 0.5, 1.5, 1.0]), random_graph(rng, 7, 4),
+              circle_cycle(4, [0.3, 1.1, 2.0, 0.0])]
+    for g in graphs:
+        h = 0.37
+        for f in (rng.normal(size=g.n) + 1j * rng.normal(size=g.n),
+                  rng.normal(size=(6, g.n)) + 1j * rng.normal(size=(6, g.n))):
+            iso_p1 = verify_sobolev(g, f, "iso_p1", delta=math.inf, c_delta=h)
+            iso_general = verify_sobolev(g, f, "iso_general", p=p, delta=math.inf, c_delta=h)
+            assert _report_fields(verify_sobolev(g, f, "cheeger_p1", h=h)) == \
+                _report_fields(iso_p1)
+            assert _report_fields(verify_sobolev(g, f, "cheeger_p", p=p, h=h)) == \
+                _report_fields(iso_general)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+def test_cheeger_p_needs_a_finite_p_of_at_least_one(p):
+    g = cycle_graph(4, 2, 1)
+    with pytest.raises(MagnetoError) as err:
+        verify_sobolev(g, np.ones(4), "cheeger_p", p=p, h=0.5)
+    assert err.value.code == "BAD_EXPONENTS"
 
 
 def test_circle_graphs_use_factor_two():

@@ -1,0 +1,101 @@
+"""The subset-search commands reproduce a recorded transcript.
+
+``search_transcript.json`` holds seven fixed graphs (two unit cycles, one of
+them with a non-unit measure, a disconnected graph, a balanced graph, two
+random graphs and the empty graph) and the report of every command in
+``COMMANDS`` on each nonempty one, plus the error lines of ``ERRORS``. A
+report must match its record key for key as in
+``tests/test_verify_transcript.py``; only the graph path of ``inputs`` is left
+out. Heuristic searches are not recorded: their ties depend on how the BLAS
+build rounds. ``python tests/test_search_transcript.py DIR`` re-records the
+transcript (writing its graph files under DIR) after a deliberate change of
+output.
+"""
+
+import io
+import json
+import pathlib
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+
+from conftest import assert_report_matches, cycle_graph, random_graph
+from magneto import GroupElement, build_graph, graph_from_json_dict
+from magneto.cli import main
+
+FIXTURE = pathlib.Path(__file__).with_name("search_transcript.json")
+COMMANDS = (
+    ["cheeger"],
+    ["cheeger", "--profile"],
+    ["isoperimetric", "--delta", "3"],
+    ["isoperimetric", "--delta", "1.5"],
+    ["isoperimetric", "--delta", "inf"],
+    ["frustration"],
+)
+# EMPTY_GRAPH, BAD_DELTA and BUDGET_EXCEEDED (the subset limit)
+ERRORS = (
+    ("empty", ["cheeger"]),
+    ("empty", ["isoperimetric", "--delta", "3"]),
+    ("cycle4", ["isoperimetric", "--delta", "1"]),
+    ("random8", ["cheeger", "--subset-limit", "3"]),
+    ("random8", ["isoperimetric", "--delta", "3", "--subset-limit", "3"]),
+)
+
+
+def _run(command, path):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main([command[0], str(path), *command[1:]])
+    report = json.loads(out.getvalue())
+    del report["inputs"]["graph"]
+    return code, report
+
+
+def test_search_reports_match_the_transcript(tmp_path):
+    fixture = json.loads(FIXTURE.read_text())
+    paths = {}
+    for name, data in fixture["graphs"].items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(graph_from_json_dict(data).to_json())
+    assert len(fixture["runs"]) == (len(paths) - 1) * len(COMMANDS) + len(ERRORS)
+    for run in fixture["runs"]:
+        code, report = _run(run["command"], paths[run["graph"]])
+        where = f"{run['graph']} {' '.join(run['command'])}"
+        assert code == run["exit"], where
+        assert_report_matches(report, run["report"], where)
+
+
+def _record(directory):
+    rng = np.random.default_rng(2028)
+    xi = GroupElement.cyclic(1, 3)
+    one = GroupElement.identity("cyclic", 3)
+    # a frustrated triangle and a balanced path, with no edge between them
+    disconnected = build_graph(
+        6, [(0, 1, 1.5, one), (1, 2, 0.5, one), (2, 0, 2.0, xi), (3, 4, 1.0, xi), (4, 5, 0.7, xi)],
+        [1.0, 0.5, 2.0, 1.0, 1.5, 0.8],
+    )
+    graphs = {
+        "cycle4": cycle_graph(4, 2, 1),
+        "cycle5": cycle_graph(5, 3, 1, mu=[1.0, 2.0, 0.5, 1.5, 1.0]),
+        "disconnected": disconnected,
+        "balanced": random_graph(rng, 6, 3, force_trivial_signature=True),
+        "random7": random_graph(rng, 7, 3),
+        "random8": random_graph(rng, 8, 4),
+        "empty": build_graph(0, []),
+    }
+    out = {"graphs": {name: json.loads(g.to_json()) for name, g in graphs.items()}, "runs": []}
+    paths = {}
+    for name, g in graphs.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(g.to_json())
+    cases = [(name, c) for name in graphs if name != "empty" for c in COMMANDS] + list(ERRORS)
+    for name, command in cases:
+        code, report = _run(command, paths[name])
+        out["runs"].append({"graph": name, "command": command, "exit": code, "report": report})
+    runs = ",\n".join(json.dumps(run) for run in out["runs"])  # one run a line
+    FIXTURE.write_text(f'{{"graphs": {json.dumps(out["graphs"])},\n"runs": [\n{runs}\n]}}\n')
+
+
+if __name__ == "__main__":
+    _record(pathlib.Path(sys.argv[1]))

@@ -13,14 +13,13 @@ deliberate change of output.
 
 import io
 import json
-import math
 import pathlib
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from conftest import circle_cycle, cycle_graph, random_graph
+from conftest import assert_report_matches, circle_cycle, cycle_graph, random_graph
 from magneto import graph_from_json_dict
 from magneto.cli import main
 
@@ -39,21 +38,6 @@ def _verify(path, suite, trials, seed):
     return code, report
 
 
-def _assert_matches(got, want, where):
-    if isinstance(want, float):
-        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12), where
-    elif isinstance(want, dict):
-        assert list(got) == list(want), where
-        for key in want:
-            _assert_matches(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (a, b) in enumerate(zip(got, want)):
-            _assert_matches(a, b, f"{where}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, where
-
-
 def test_verify_reports_match_the_transcript(tmp_path):
     fixture = json.loads(FIXTURE.read_text())
     paths = {}
@@ -65,7 +49,7 @@ def test_verify_reports_match_the_transcript(tmp_path):
         code, report = _verify(paths[run["graph"]], run["suite"], run["trials"], run["seed"])
         where = f"{run['graph']} {run['suite']} trials={run['trials']}"
         assert code == run["exit"], where
-        _assert_matches(report, run["report"], where)
+        assert_report_matches(report, run["report"], where)
 
 
 def _record(directory):
