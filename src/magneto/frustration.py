@@ -12,9 +12,9 @@ of its steps; ``_frustration_values`` runs it on blocks of same-size sets.
 an upper bound, which is exact, 0, on the components that a spanning-tree
 test finds balanced. Its restarts are the rows of arrays, in blocks of
 bounded size, that every sweep updates at once; each row's per-vertex step
-stays a (k, deg) @ (deg,) matmul, since on unit weights the BLAS rounding of
-that product breaks ties, and perfbench's check of h_upper on the c4 x c4
-torus depends on those ties. ``frustrated_cycle_packing`` bounds the index
+sums its local costs in a fixed order, so the ties that unit weights make,
+and the h_upper that perfbench checks on the c4 x c4 torus, do not depend on
+how a BLAS build rounds. ``frustrated_cycle_packing`` bounds the index
 from below: a greedy packing of edge-disjoint frustrated cycles, each of
 which costs every switching at least its least weight times |1 - sigma(C)|.
 """
@@ -263,8 +263,8 @@ def _heuristic_cyclic(g, comp_verts, edges, restarts, rng):
     _CHUNK // (k * deg + edges) rows each: row 0 is all zeros, row r >= 1 is
     drawn from ``rng`` in row order. A Gauss-Seidel sweep moves vertex i, in
     every row of the block still active, to the first minimizer of its local
-    cost: a (k, deg) @ (deg,) product on the row's own C-contiguous slice, so
-    the BLAS rounds every row as it would round that row alone. A row drops
+    cost, summed sequentially over its incident edges, so that every row
+    breaks its ties as it would alone, on any BLAS build. A row drops
     out once a sweep lowers its cost, summed sequentially in edge order, by
     less than _SWEEP_TOL; the first row of least final cost wins.
     """
@@ -299,11 +299,9 @@ def _heuristic_cyclic(g, comp_verts, edges, restarts, rng):
         for _ in range(_MAX_SWEEPS):
             sub = a[active]
             for i, (nb, off, wt) in enumerate(inc):
-                # off - a[nb] lies in (-k, k), and dist[j - k] is dist[j]. The
-                # lookup inherits the strided layout of sub[:, None, nb] (a
-                # slice beside an index array), so it is copied to C order
-                local = np.ascontiguousarray(dist[off - sub[:, None, nb]])
-                sub[:, i] = (local @ wt).argmin(axis=1)
+                # off - a[nb] lies in (-k, k), and dist[j - k] is dist[j]
+                local = np.cumsum(dist[off - sub[:, None, nb]] * wt, axis=2)[:, :, -1]
+                sub[:, i] = local.argmin(axis=1)
             a[active] = sub
             cur = costs_of(sub)
             going = prev[active] - cur >= _SWEEP_TOL
@@ -473,7 +471,7 @@ def _pack_cycles(g):
     packing = []
     while True:
         walk = _shortest_frustrated_walk(arcs, k, floor)
-        if walk is None or len(set(walk[0])) < len(walk[0]):  # the second cannot happen
+        if walk is None:
             return tuple(packing)
         verts, edges, sigma = walk
         mask = sum(1 << u for u in verts)

@@ -2,10 +2,9 @@
 
 The constant is defined operationally as the minimum over nonempty subsets of
 (frustration + boundary) / volume^((delta-1)/delta), so balanced graphs give 0.
-Subsets are visited in increasing popcount, then increasing bitmask value, and
-the first minimizer is kept. The quotient at V seeds the threshold, and three
-lower bounds on a subset's quotient skip its frustration solve when they
-already exceed it:
+The quotient at V seeds a threshold, and three array passes, the same in
+every mode, drop each subset one of whose lower bounds on its quotient
+exceeds it:
 
 - the boundary bound boundary / volume^e, since frustration is nonnegative;
 - the cycle bound (packed + boundary) / volume^e, where packed sums
@@ -18,9 +17,13 @@ already exceed it:
 
 Each prunes only subsets whose bound strictly exceeds the threshold, so no
 tie is dropped, and a heuristic frustration is at least the true one, so
-none changes a heuristic search either. A heuristic search reports the least
-of max(cycle bound, spectral bound) as a certified lower bound on the
-constant. A search is kept per graph and mode, past the checks it makes first.
+none changes a heuristic search either. An exact search values its survivors
+in one batch and solves its near ties again one at a time, so its result is
+that of a solve per subset, which a heuristic or profiled search (of every
+subset) makes. The first minimizer in increasing popcount, then increasing
+bitmask value, is kept. A heuristic search reports the least of max(cycle
+bound, spectral bound) as a certified lower bound on the constant. A search
+is kept per graph and mode, past the checks it makes first.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import MagnetoError
 from .frustration import (
     _CHUNK,
     DEFAULT_BUDGET,
+    _frustration_values,
     frustrated_cycle_packing,
     frustration_exact,
     frustration_heuristic,
@@ -66,7 +70,7 @@ class SearchStats:
     pruned_boundary: int
     pruned_cycles: int
     pruned_spectral: int
-    evaluated: int  # frustration solved (or looked up) and quotient formed
+    evaluated: int  # quotient formed: every filter survivor, or every subset when profiled
 
 
 @dataclass(frozen=True)
@@ -176,64 +180,60 @@ def _search(g, delta, heuristic, budget, restarts, seed, profile) -> Isoperimetr
 
     exponent = _volume_exponent(delta)
     bnd, vol, pop = _subset_tables(g)
-    # quotient at V (boundary 0) seeds the pruning threshold
-    seed_quot = float(frustration_of(g.full_mask()).value / vol[-1] ** exponent)
-    # Three array passes over the nonempty masks, in increasing order, drop
-    # the subsets whose boundary bound, then cycle bound, then spectral bound
-    # exceeds the threshold; the slack keeps a superset of the loop's
-    # survivors, and the loop's test still decides. A subset the boundary
-    # pass drops has a quotient above seed_quot, the quotient at V, so the
-    # least of max(cycle bound, spectral bound) over the boundary survivors
-    # (V among them) is a lower bound on the constant. A subset the cycle
-    # pass drops has a cycle bound above the threshold, which V's bounds do
-    # not exceed, so the spectral bound is not needed there. Only an exact
-    # profiled search needs no bound. The subsets left for the loop, all of
-    # them when profiled, are put in popcount order last.
-    threshold = seed_quot * (1 + 1e-9)
+    full_value = frustration_of(g.full_mask()).value
+    # The quotient at V (boundary 0) seeds the threshold. Three array passes
+    # over the nonempty masks, in increasing order, drop the subsets whose
+    # boundary bound, then cycle bound, then spectral bound exceeds it; its
+    # slack absorbs the bounds' rounding. A subset the boundary pass drops has
+    # a quotient above the quotient at V, so the least of max(cycle bound,
+    # spectral bound) over the boundary survivors (V among them) is a lower
+    # bound on the constant. A subset the cycle pass drops has a cycle bound
+    # above the threshold, which V's bounds do not exceed, so the spectral
+    # bound is not needed there.
+    threshold = float(full_value / vol[-1] ** exponent) * (1 + 1e-9)
     ratio = vol[1:] ** exponent
     np.divide(bnd[1:], ratio, out=ratio)
     survivors = 1 + np.flatnonzero(ratio <= threshold)
     del ratio
-    bounds = None
-    pruned_cycles = pruned_spectral = 0
-    if heuristic or not profile:
-        s_pop, s_bnd, s_vol = (a[survivors] for a in (pop, bnd, vol))
-        bounds = _cycle_bounds(g, survivors, s_bnd, s_vol, exponent)
-        kept = np.arange(len(survivors)) if profile else np.flatnonzero(bounds <= threshold)
-        spectral = _spectral_bounds(
-            g, survivors[kept], s_pop[kept], s_bnd[kept], s_vol[kept], exponent
-        )
-        bounds[kept] = np.maximum(bounds[kept], spectral)
-        if not profile:
-            order = survivors[kept[spectral <= threshold]]
-            pruned_cycles = len(survivors) - len(kept)
-            pruned_spectral = len(kept) - len(order)
-    order = _in_popcount_order(np.arange(1, 1 << g.n) if profile else order, pop)
+    s_pop, s_bnd, s_vol = (a[survivors] for a in (pop, bnd, vol))
+    bounds = _cycle_bounds(g, survivors, s_bnd, s_vol, exponent)
+    kept = np.flatnonzero(bounds <= threshold)
+    spectral = _spectral_bounds(g, survivors[kept], s_pop[kept], s_bnd[kept], s_vol[kept], exponent)
+    bounds[kept] = np.maximum(bounds[kept], spectral)
+    left = survivors[kept[spectral <= threshold]]
+    masks = _in_popcount_order(np.arange(1, 1 << g.n) if profile else left, pop)
 
-    best = math.inf
-    argmin = None
-    evaluated = 0
-    reports = [] if profile else None
-    for mask in order.tolist():
-        lb = bnd[mask] / vol[mask] ** exponent
-        if not profile and lb > min(best, seed_quot):
-            continue
-        evaluated += 1
-        fr = frustration_of(mask)
-        quot = float((fr.value + bnd[mask]) / vol[mask] ** exponent)
-        cut = CutReport(
-            tuple(g.mask_vertices(mask)), fr.value, float(bnd[mask]), float(vol[mask]), quot
-        )
-        if profile:
-            reports.append(cut)
-        if quot < best:
-            best, argmin = quot, cut
+    powers = _scalar_powers(vol[masks], exponent)
+    if heuristic or profile:
+        values = np.array([frustration_of(mask).value for mask in masks.tolist()])
+    else:
+        # V's value is the threshold's, if V survived the filters
+        values = np.full(len(masks), full_value)
+        rest = masks != g.full_mask()
+        members = (masks[rest, None] >> np.arange(g.n)) & 1 == 1
+        values[rest] = _frustration_values(g, members, budget)
+        # on a disconnected set a batch value can be an ulp or two off the
+        # set's own solve, so the near ties are solved on their own before
+        # the first least quotient is taken
+        quot = (values + bnd[masks]) / powers
+        for i in np.flatnonzero(quot <= quot.min() * (1 + 1e-12)).tolist():
+            values[i] = frustration_of(int(masks[i])).value
+    quot = (values + bnd[masks]) / powers
+
+    def cut(i):
+        mask = int(masks[i])
+        return CutReport(tuple(g.mask_vertices(mask)), float(values[i]), float(bnd[mask]),
+                         float(vol[mask]), float(quot[i]))
+
+    argmin = cut(int(np.argmin(quot)))
     subsets = (1 << g.n) - 1
-    pruned_boundary = subsets - pruned_cycles - pruned_spectral - evaluated
-    stats = SearchStats(subsets, pruned_boundary, pruned_cycles, pruned_spectral, evaluated)
-    lower_bound = float(bounds.min()) if heuristic else best
-    return IsoperimetricResult(delta, best, argmin, lower_bound, stats,
-                               tuple(reports) if profile else None, exact=not heuristic)
+    pruned = (0, 0, 0) if profile else (
+        subsets - len(survivors), len(survivors) - len(kept), len(kept) - len(left))
+    stats = SearchStats(subsets, *pruned, len(masks))
+    lower_bound = float(bounds.min()) if heuristic else argmin.objective
+    return IsoperimetricResult(delta, argmin.objective, argmin, lower_bound, stats,
+                               tuple(map(cut, range(len(masks)))) if profile else None,
+                               exact=not heuristic)
 
 
 def cheeger_constant(

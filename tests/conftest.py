@@ -59,6 +59,29 @@ def random_graph(rng, n, k, force_trivial_signature=False):
     return build_graph(n, edges, mu)
 
 
+def k4_union(triangle=False):
+    """Two relabelled copies, on {4, 5, 3, 7} and {6, 0, 2, 1}, of one K4 at
+    k = 2 with weights drawn from U(0.1, 3) and random signatures
+    (``np.random.default_rng(0)``, the 139th draw of a permutation, weights
+    and exponents). h is attained at either copy, and at their union in
+    exact arithmetic; ``_frustration_values`` puts the union 2 ulp below
+    ``frustration_exact``, so a search that took the union's value from that
+    batch would report the union as the first minimizer. With ``triangle``,
+    a frustrated triangle of weight 10 on vertices 8, 9 and 10 makes the
+    union a proper subset."""
+    weights = [0.15181242198214057, 1.2078075209232335, 1.0064213491962892,
+               0.33299178513126526, 2.3712503916272585, 1.7583917742422202]
+    exponents = [1, 1, 0, 0, 1, 0]
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    edges = [(min(c[a], c[b]), max(c[a], c[b]), w, GroupElement.cyclic(j, 2))
+             for c in ((4, 5, 3, 7), (6, 0, 2, 1))
+             for (a, b), w, j in zip(pairs, weights, exponents)]
+    if triangle:
+        edges += [(8, 9, 10.0, GroupElement.cyclic(0, 2)), (9, 10, 10.0, GroupElement.cyclic(0, 2)),
+                  (8, 10, 10.0, GroupElement.cyclic(1, 2))]
+    return build_graph(11 if triangle else 8, edges)
+
+
 def random_unbalanced_graph(rng, n_max=7, k_max=4):
     while True:
         n = int(rng.integers(3, n_max + 1))

@@ -57,7 +57,7 @@ def heuristic_cyclic(g, comp_verts, edges, restarts, rng):
                     a[i] = 0
                     continue
                 local = ((np.arange(k)[:, None] - a[nb][None, :] - se[None, :]) % k)
-                a[i] = int(np.argmin(dist[local] @ wt))
+                a[i] = int(np.argmin(np.cumsum(dist[local] * wt, axis=1)[:, -1]))
             cur = cost_of(a)
             if prev - cur < _SWEEP_TOL:
                 break

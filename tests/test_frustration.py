@@ -264,8 +264,8 @@ def test_heuristic_matches_the_restart_by_restart_oracle(case, restarts, seed):
 
 
 def test_heuristic_breaks_dense_unit_ties_like_the_oracle():
-    # vertices of degree >= 4 with unit weights: local costs tie, and a per-row
-    # numpy sum in place of the BLAS product breaks some of them the other way
+    # vertices of degree >= 4 with unit weights: local costs tie, and a sum in
+    # another order, such as a BLAS product, breaks some of them the other way
     rng = np.random.default_rng(0)
     for t in range(40):
         n, k = int(rng.integers(6, 11)), int(rng.integers(3, 7))

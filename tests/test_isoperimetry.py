@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import pathlib
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magneto.isoperimetry
-from conftest import circle_cycle, cycle_graph, k2_graph, peak_bytes, random_graph
+from conftest import circle_cycle, cycle_graph, k2_graph, k4_union, peak_bytes, random_graph
 from frustration_oracle import enumerate_frustration
 from packing_oracle import all_roots_packing
 from subset_tables_oracle import bit_array_tables
@@ -137,6 +140,7 @@ SINGLETON_TIE = graph_from_json(
 @example(case=(random_graph(np.random.default_rng(29), 6, 3, force_trivial_signature=True),
                "trivial"))
 @example(case=(SINGLETON_TIE, "none"))
+@example(case=(k4_union(), "none"))
 def test_pruned_and_profiled_runs_agree(case):
     # a profiled search prunes nothing; on a balanced graph the exact
     # threshold is 0, and so is the heuristic one on the trivial signature,
@@ -317,6 +321,47 @@ def test_cycle_filter_solves_only_v_on_c3c3k2(c3c3k2_searches, heuristic, delta)
     assert res.stats.evaluated == 1
     assert res.stats.pruned_spectral == 0
     assert res.lower_bound == res.constant
+
+
+def verify_all_inputs(monkeypatch):
+    """The two graphs of perfbench's verify_all workload (n = 10, k = 3)."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    return [graph_from_json(json.dumps(d)) for d in workloads.base_graphs("verify_all").values()]
+
+
+def test_an_exact_search_solves_only_v_and_its_near_ties(monkeypatch):
+    # the survivors get their values from one batch; only V, for the
+    # threshold, and the subsets within 1e-12 of the least quotient are
+    # solved one at a time, each once
+    solves = Counter()
+    solve = magneto.frustration._solve_exact
+
+    def counted(graph, mask, comps):
+        solves[mask] += 1
+        return solve(graph, mask, comps)
+
+    graphs = verify_all_inputs(monkeypatch) + [cycle_graph(8, 3, 1)]
+    monkeypatch.setattr(magneto.frustration, "_solve_exact", counted)
+    for g in graphs:
+        for delta in (math.inf, 3.0, 1.5):
+            slow = isoperimetric_constant(g, delta, profile=True)
+            near = {g.as_mask(c.subset) for c in slow.profile
+                    if c.objective <= slow.constant * (1 + 1e-12)}
+            solves.clear()
+            isoperimetric_constant(graph_from_json(g.to_json()), delta)
+            assert set(solves) == near | {g.full_mask()}
+            assert max(solves.values()) == 1
+
+
+def test_a_near_tie_from_the_batch_is_solved_on_its_own():
+    # the union of the K4 copies is a near tie whose batch value is 2 ulp
+    # low; solved on its own, it ties the copy that comes first
+    g = k4_union(triangle=True)
+    res = cheeger_constant(g)
+    assert res.argmin == cheeger_constant(g, profile=True).argmin
+    assert res.argmin.subset == (3, 4, 5, 7)
 
 
 def test_cycle_filter_solves_only_v_on_the_torus():

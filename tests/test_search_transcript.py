@@ -1,14 +1,14 @@
 """The subset-search commands reproduce a recorded transcript.
 
-``search_transcript.json`` holds seven fixed graphs (two unit cycles, one of
+``search_transcript.json`` holds eight fixed graphs (two unit cycles, one of
 them with a non-unit measure, a disconnected graph, a balanced graph, two
-random graphs and the empty graph) and the report of every command in
-``COMMANDS`` on each nonempty one, plus the error lines of ``ERRORS``. A
-report must match its record key for key as in
+random graphs, two copies of one weighted K4 and the empty graph) and the
+report of every command in ``COMMANDS`` on each nonempty one, plus the error
+lines of ``ERRORS``. A report must match its record key for key as in
 ``tests/test_verify_transcript.py``; only the graph path of ``inputs`` is left
-out. Heuristic searches are not recorded: their ties depend on how the BLAS
-build rounds. ``python tests/test_search_transcript.py DIR`` re-records the
-transcript (writing its graph files under DIR) after a deliberate change of
+out. Heuristic searches are not recorded; ``tests/heuristic_oracle.py`` pins
+their tie-breaking. ``python tests/test_search_transcript.py DIR`` re-records
+the transcript (writing its graph files under DIR) after a deliberate change of
 output.
 """
 
@@ -20,7 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from conftest import assert_report_matches, cycle_graph, random_graph
+from conftest import assert_report_matches, cycle_graph, k4_union, random_graph
 from magneto import GroupElement, build_graph, graph_from_json_dict
 from magneto.cli import main
 
@@ -82,6 +82,7 @@ def _record(directory):
         "balanced": random_graph(rng, 6, 3, force_trivial_signature=True),
         "random7": random_graph(rng, 7, 3),
         "random8": random_graph(rng, 8, 4),
+        "k4union": k4_union(),
         "empty": build_graph(0, []),
     }
     out = {"graphs": {name: json.loads(g.to_json()) for name, g in graphs.items()}, "runs": []}
