@@ -1,10 +1,11 @@
 """The subset-search commands reproduce a recorded transcript.
 
-``search_transcript.json`` holds eight fixed graphs (two unit cycles, one of
+``search_transcript.json`` holds ten fixed graphs (two unit cycles, one of
 them with a non-unit measure, a disconnected graph, a balanced graph, two
-random graphs, two copies of one weighted K4 and the empty graph) and the
-report of every command in ``COMMANDS`` on each nonempty one, plus the error
-lines of ``ERRORS``. A report must match its record key for key as in
+random graphs, two copies of one weighted K4, the empty graph and the two
+disjoint unions of ``UNIONS``) and the report of every command in
+``COMMANDS`` on each nonempty one but the unions, of ``UNION_COMMANDS`` on
+the unions, plus the error lines of ``ERRORS``. A report must match its record key for key as in
 ``tests/test_verify_transcript.py``; only the graph path of ``inputs`` is left
 out. Heuristic searches are not recorded; ``tests/heuristic_oracle.py`` pins
 their tie-breaking. ``python tests/test_search_transcript.py DIR`` re-records
@@ -33,6 +34,14 @@ COMMANDS = (
     ["isoperimetric", "--delta", "inf"],
     ["frustration"],
 )
+# two copies of a K4 and a frustrated triangle, and a relabelled K3 and K4 at
+# k = 3: their disconnected subsets are valued one component at a time, in
+# every profile entry and wherever a union can win
+UNIONS = ("k4triangle", "k3k4")
+UNION_COMMANDS = (
+    ["cheeger", "--profile"],
+    ["isoperimetric", "--delta", "1.5"],
+)
 # EMPTY_GRAPH, BAD_DELTA and BUDGET_EXCEEDED (the subset limit)
 ERRORS = (
     ("empty", ["cheeger"]),
@@ -52,18 +61,39 @@ def _run(command, path):
     return code, report
 
 
+def _cases(names):
+    """(graph, command) of each recorded run, in order."""
+    plain = [name for name in names if name not in UNIONS and name != "empty"]
+    return ([(name, c) for name in plain for c in COMMANDS]
+            + [(name, c) for name in UNIONS for c in UNION_COMMANDS] + list(ERRORS))
+
+
 def test_search_reports_match_the_transcript(tmp_path):
     fixture = json.loads(FIXTURE.read_text())
     paths = {}
     for name, data in fixture["graphs"].items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(graph_from_json_dict(data).to_json())
-    assert len(fixture["runs"]) == (len(paths) - 1) * len(COMMANDS) + len(ERRORS)
+    assert [(run["graph"], run["command"]) for run in fixture["runs"]] == _cases(paths)
     for run in fixture["runs"]:
         code, report = _run(run["command"], paths[run["graph"]])
         where = f"{run['graph']} {' '.join(run['command'])}"
         assert code == run["exit"], where
         assert_report_matches(report, run["report"], where)
+
+
+def _k3k4_union():
+    """A K3 and a K4 on a random relabelling of 7 vertices at k = 3, with
+    weights from U(0.1, 3) rounded to 3 places and random signatures."""
+    rng = np.random.default_rng(11)
+    perm = rng.permutation(7).tolist()
+    edges = []
+    for clique in (perm[:3], perm[3:]):
+        for a, u in enumerate(clique):
+            for v in clique[a + 1:]:
+                w = round(float(rng.uniform(0.1, 3.0)), 3)
+                edges.append((min(u, v), max(u, v), w, GroupElement.cyclic(int(rng.integers(0, 3)), 3)))
+    return build_graph(7, edges)
 
 
 def _record(directory):
@@ -84,14 +114,15 @@ def _record(directory):
         "random8": random_graph(rng, 8, 4),
         "k4union": k4_union(),
         "empty": build_graph(0, []),
+        "k4triangle": k4_union(triangle=True),
+        "k3k4": _k3k4_union(),
     }
     out = {"graphs": {name: json.loads(g.to_json()) for name, g in graphs.items()}, "runs": []}
     paths = {}
     for name, g in graphs.items():
         paths[name] = directory / f"{name}.json"
         paths[name].write_text(g.to_json())
-    cases = [(name, c) for name in graphs if name != "empty" for c in COMMANDS] + list(ERRORS)
-    for name, command in cases:
+    for name, command in _cases(graphs):
         code, report = _run(command, paths[name])
         out["runs"].append({"graph": name, "command": command, "exit": code, "report": report})
     runs = ",\n".join(json.dumps(run) for run in out["runs"])  # one run a line
