@@ -5,9 +5,11 @@ value-only ``_frustration_values``: min-sum variable elimination over the
 exponents. Each set pins its first vertex to 1, which leaves the cost
 invariant, and its other vertices are eliminated in reverse label order, the
 edge tables added in place to one cost array of at most k^(|S|-1) floats per
-set, far fewer on sparse sets. ``frustration_exact`` runs it on one component
-at a time and decodes the lexicographically first minimizer from the arrays
-of its steps; ``_frustration_values`` runs it on blocks of same-size sets.
+set, far fewer on sparse sets. Both run it one component at a time and sum
+a set's values in component order, so they give the same float:
+``frustration_exact`` decodes the lexicographically first minimizer from the
+arrays of its steps, and ``_frustration_values`` runs it on blocks of
+same-size components of many sets.
 ``frustration_heuristic`` is greedy coordinate descent and only ever yields
 an upper bound, which is exact, 0, on the components that a spanning-tree
 test finds balanced. Its restarts are the rows of arrays, in blocks of
@@ -90,7 +92,8 @@ def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) ->
     """
     _check_cyclic(g)
     mask = g.as_mask(subset)
-    comps = _budgeted_components(g, mask, budget)
+    comps = g.components_of(mask)
+    _check_budget(g.group_order, sum(map(len, comps)), len(comps), budget)
     return g.memo(("frustration_exact", mask), lambda: _solve_exact(g, mask, comps))
 
 
@@ -99,53 +102,45 @@ def _check_cyclic(g: MagneticGraph) -> None:
         raise MagnetoError("CONTINUOUS_GROUP", "exact frustration requires a cyclic group")
 
 
-def _budgeted_components(g: MagneticGraph, mask: int, budget: int) -> tuple:
-    """The components of the subset, or BUDGET_EXCEEDED when its gauge-fixed
-    space k^(|S| - c(S)) is larger than ``budget``."""
-    k = g.group_order
-    comps = g.components_of(mask)
-    n_sub = sum(len(c) for c in comps)
-    if k ** max(n_sub - len(comps), 0) > budget:
+def _check_budget(k: int, size: int, n_comps: int, budget: int) -> None:
+    """BUDGET_EXCEEDED when the gauge-fixed space k^(|S| - c(S)) of a set of
+    ``size`` vertices and ``n_comps`` components is larger than ``budget``."""
+    if k ** max(size - n_comps, 0) > budget:
         raise MagnetoError(
-            "BUDGET_EXCEEDED",
-            f"gauge-fixed space {k}^{n_sub - len(comps)} exceeds budget {budget}",
+            "BUDGET_EXCEEDED", f"gauge-fixed space {k}^{size - n_comps} exceeds budget {budget}"
         )
-    return comps
 
 
 def _frustration_values(g: MagneticGraph, members: np.ndarray, budget: int) -> np.ndarray:
     """The exact frustration index of each set, given as rows of booleans over
     the vertices, nonempty and distinct: values alone, with no minimizer and
-    nothing kept in the graph's memo.
+    nothing kept in the graph's memo, each the float ``frustration_exact``
+    gives.
 
     The checks of ``frustration_exact`` run first, on every row in order, so
-    the first row that fails them raises what ``frustration_exact`` raises; a
-    row's components are looked up only when k^(|S| - 1) > ``budget``. The
-    sets of one size s with k^(s-1) <= _CHUNK go to ``_eliminate`` in blocks
-    of at most _CHUNK // k^(s-1) sets. A larger set goes alone, one component
-    at a time, and sums their values in component order, as
-    ``frustration_exact`` does.
+    the first row that fails them raises what ``frustration_exact`` raises.
+    The sets' components of each size s > 1 go to ``_eliminate`` in blocks of
+    max(1, _CHUNK // k^(s-1)), and each set sums its components' values in
+    component order, as ``_solve_exact`` does; a single vertex costs 0.
     """
-    values = np.zeros(len(members))
     if not len(members):
-        return values
+        return np.zeros(0)
     _check_cyclic(g)
     k = g.group_order
-    sizes = members.sum(axis=1)
-    for r in np.flatnonzero([k ** (int(s) - 1) > budget for s in sizes]):
-        _budgeted_components(g, g.as_mask(np.flatnonzero(members[r])), budget)
-    for s in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == s)
-        if k ** (s - 1) > _CHUNK:
-            for r in rows:
-                for comp in g.components_of(g.as_mask(np.flatnonzero(members[r]))):
-                    values[r] += _eliminate(g, g.indicator(comp)[None])[0]
-            continue
-        block = _CHUNK // k ** (s - 1)
-        for lo in range(0, len(rows), block):
-            part = rows[lo:lo + block]
-            values[part] = _eliminate(g, members[part])
-    return values
+    # each component's set and vertices, a set's components in order
+    owner, comps = (np.concatenate(part) for part in zip(*g.component_rounds(members)))
+    n_comps = np.bincount(owner, minlength=len(members))
+    for size, c in zip(members.sum(axis=1).tolist(), n_comps.tolist()):
+        _check_budget(k, size, c, budget)
+    sizes, comp_values = comps.sum(axis=1), np.zeros(len(comps))
+    for s in sorted(set(sizes.tolist()) - {1}):
+        same = np.flatnonzero(sizes == s)
+        block = max(1, _CHUNK // k ** (s - 1))
+        for lo in range(0, len(same), block):
+            part = same[lo:lo + block]
+            comp_values[part] = _eliminate(g, comps[part])
+    # bincount adds each set's values from 0.0 in owner order, as _solve_exact sums
+    return np.bincount(owner, weights=comp_values, minlength=len(members))
 
 
 def _eliminate(g: MagneticGraph, members: np.ndarray, steps: list | None = None) -> np.ndarray:

@@ -169,26 +169,33 @@ class MagneticGraph:
         return np.nonzero(ind[self.eu] & ind[self.ev])[0]
 
     def components_of(self, mask: int) -> tuple:
-        """Connected components (sorted vertex tuples) of the induced subgraph."""
-        verts = self.mask_vertices(mask)
-        seen = set()
-        comps = []
-        adj = self.adjacency()
-        for root in verts:
-            if root in seen:
-                continue
-            comp = []
-            stack = [root]
-            seen.add(root)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v, _, _ in adj[u]:
-                    if (mask >> v) & 1 and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        """Connected components (sorted vertex tuples) of the induced subgraph,
+        in increasing order of their least vertex."""
+        rounds = self.component_rounds(self.indicator(mask)[None])
+        return tuple(tuple(np.flatnonzero(comp[0]).tolist()) for _, comp in rounds)
+
+    def component_rounds(self, members: np.ndarray) -> list:
+        """The components of the subgraphs induced on a block of vertex sets,
+        given as rows of booleans, in rounds (rows, comps): in round t,
+        comps[i] is the t-th component, by least vertex, of set rows[i], and
+        rows holds the sets with more than t. A round starts each set's
+        component at its least vertex not yet placed and adds the neighbours
+        left in the set until no component of the block grows."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[self.eu, self.ev] = adj[self.ev, self.eu] = True
+        rows = np.flatnonzero(members.any(axis=1))
+        left, rounds = members[rows], []
+        while len(rows):
+            comp = np.zeros_like(left)
+            comp[np.arange(len(rows)), left.argmax(axis=1)] = True
+            grown = comp | comp @ adj & left
+            while (grown != comp).any():
+                comp, grown = grown, grown | grown @ adj & left
+            rounds.append((rows, comp))
+            left &= ~comp
+            more = left.any(axis=1)
+            rows, left = rows[more], left[more]
+        return rounds
 
     # -- gauge transformations ----------------------------------------------
 

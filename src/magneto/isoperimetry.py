@@ -18,12 +18,12 @@ exceeds it:
 Each prunes only subsets whose bound strictly exceeds the threshold, so no
 tie is dropped, and a heuristic frustration is at least the true one, so
 none changes a heuristic search either. An exact search values its survivors
-in one batch and solves its near ties again one at a time, so its result is
-that of a solve per subset, which a heuristic or profiled search (of every
-subset) makes. The first minimizer in increasing popcount, then increasing
-bitmask value, is kept. A heuristic search reports the least of max(cycle
-bound, spectral bound) as a certified lower bound on the constant. A search
-is kept per graph and mode, past the checks it makes first.
+(every subset when profiled) in one batch, each as ``frustration_exact``
+would; a heuristic search solves them one at a time. The first minimizer in
+increasing popcount, then increasing bitmask value, is kept. A heuristic
+search reports the least of max(cycle bound, spectral bound) as a certified
+lower bound on the constant. A search is kept per graph and mode, past the
+checks it makes first.
 """
 
 from __future__ import annotations
@@ -203,8 +203,7 @@ def _search(g, delta, heuristic, budget, restarts, seed, profile) -> Isoperimetr
     left = survivors[kept[spectral <= threshold]]
     masks = _in_popcount_order(np.arange(1, 1 << g.n) if profile else left, pop)
 
-    powers = _scalar_powers(vol[masks], exponent)
-    if heuristic or profile:
+    if heuristic:
         values = np.array([frustration_of(mask).value for mask in masks.tolist()])
     else:
         # V's value is the threshold's, if V survived the filters
@@ -212,13 +211,7 @@ def _search(g, delta, heuristic, budget, restarts, seed, profile) -> Isoperimetr
         rest = masks != g.full_mask()
         members = (masks[rest, None] >> np.arange(g.n)) & 1 == 1
         values[rest] = _frustration_values(g, members, budget)
-        # on a disconnected set a batch value can be an ulp or two off the
-        # set's own solve, so the near ties are solved on their own before
-        # the first least quotient is taken
-        quot = (values + bnd[masks]) / powers
-        for i in np.flatnonzero(quot <= quot.min() * (1 + 1e-12)).tolist():
-            values[i] = frustration_of(int(masks[i])).value
-    quot = (values + bnd[masks]) / powers
+    quot = (values + bnd[masks]) / _scalar_powers(vol[masks], exponent)
 
     def cut(i):
         mask = int(masks[i])

@@ -64,11 +64,11 @@ def k4_union(triangle=False):
     k = 2 with weights drawn from U(0.1, 3) and random signatures
     (``np.random.default_rng(0)``, the 139th draw of a permutation, weights
     and exponents). h is attained at either copy, and at their union in
-    exact arithmetic; ``_frustration_values`` puts the union 2 ulp below
-    ``frustration_exact``, so a search that took the union's value from that
-    batch would report the union as the first minimizer. With ``triangle``,
-    a frustrated triangle of weight 10 on vertices 8, 9 and 10 makes the
-    union a proper subset."""
+    exact arithmetic; solved as one array, the union comes out 2 ulp below
+    the sum of the copies' values, so a search that valued it so would
+    report the union as the first minimizer. With ``triangle``, a
+    frustrated triangle of weight 10 on vertices 8, 9 and 10 makes the union
+    a proper subset."""
     weights = [0.15181242198214057, 1.2078075209232335, 1.0064213491962892,
                0.33299178513126526, 2.3712503916272585, 1.7583917742422202]
     exponents = [1, 1, 0, 0, 1, 0]
@@ -80,6 +80,21 @@ def k4_union(triangle=False):
         edges += [(8, 9, 10.0, GroupElement.cyclic(0, 2)), (9, 10, 10.0, GroupElement.cyclic(0, 2)),
                   (8, 10, 10.0, GroupElement.cyclic(1, 2))]
     return build_graph(11 if triangle else 8, edges)
+
+
+def k3k4_union():
+    """A K3 and a K4 on a random relabelling of 7 vertices at k = 3, with
+    weights from U(0.1, 3) rounded to 3 places and random signatures
+    (``np.random.default_rng(11)``)."""
+    rng = np.random.default_rng(11)
+    perm = rng.permutation(7).tolist()
+    edges = []
+    for clique in (perm[:3], perm[3:]):
+        for a, u in enumerate(clique):
+            for v in clique[a + 1:]:
+                w = round(float(rng.uniform(0.1, 3.0)), 3)
+                edges.append((min(u, v), max(u, v), w, GroupElement.cyclic(int(rng.integers(0, 3)), 3)))
+    return build_graph(7, edges)
 
 
 def random_unbalanced_graph(rng, n_max=7, k_max=4):

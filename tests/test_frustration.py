@@ -3,11 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magneto.frustration
-from conftest import circle_cycle, cycle_graph, k2_graph, peak_bytes, random_graph
+from conftest import circle_cycle, cycle_graph, k2_graph, k3k4_union, k4_union, peak_bytes, random_graph
 from frustration_oracle import enumerate_frustration, lex_first_min_count
 from heuristic_oracle import heuristic_frustration
 from magneto import (
@@ -217,20 +217,25 @@ def test_exact_matches_the_enumeration_oracle(case):
 
 @settings(max_examples=60, deadline=None)
 @given(g=weighted_graphs())
+@example(g=k4_union())
+@example(g=k4_union(triangle=True))
+@example(g=k3k4_union())
 def test_values_of_all_subsets_in_one_call_match_frustration_exact(g):
-    # a connected set gets the same float in any block as alone; a
-    # disconnected one is solved as one array in a block, while
-    # frustration_exact sums its components in order, so it may differ by
-    # round-off
+    # a set's components are solved in blocks of components of one size and
+    # summed in order, as frustration_exact does, so the floats are equal on
+    # the disconnected sets of the disjoint unions too
     masks = np.arange(1, 1 << g.n)
     members = (masks[:, None] >> np.arange(g.n)) & 1 == 1
     values = magneto.frustration._frustration_values(g, members, 10**7)
-    for mask, value in zip(masks.tolist(), values.tolist()):
-        exact = frustration_exact(g, mask).value
-        if len(g.components_of(mask)) == 1:
-            assert value == exact
-        else:
-            assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert values.tolist() == [frustration_exact(g, mask).value for mask in masks.tolist()]
+
+
+def test_the_empty_set_has_no_components_and_costs_nothing():
+    for g in (cycle_graph(4, 3, 1), build_graph(0, [])):
+        assert g.components_of(0) == ()
+        res = frustration_exact(g, 0)
+        assert (res.value, res.evaluations, res.minimizer.values) == (0.0, 0, {})
+    assert build_graph(0, []).component_rounds(np.zeros((2, 0), dtype=bool)) == []
 
 
 @st.composite

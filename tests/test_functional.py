@@ -247,7 +247,7 @@ def test_coarea_solves_sets_past_the_chunk_alone_and_keeps_nothing():
     assert got == pytest.approx([levelwise_coarea_lhs(g, f) for f in fs], rel=1e-12, abs=0.0)
     fresh = graph_from_json(g.to_json())
     coarea_lhs(fresh, fs)
-    # graph-wide entries only (adjacency, edge tables): no key per mask
+    # graph-wide entries only (the edge tables): no key per mask
     assert all(isinstance(key, str) for key in fresh._memo)
     # |f| = 1 on every vertex: the integral is iota(V), the value frustration_exact gives
     assert coarea_lhs(fresh, np.ones(8)) == frustration_exact(fresh, fresh.full_mask()).value

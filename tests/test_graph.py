@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from components_oracle import dfs_components
 from conftest import cycle_graph, k2_graph, random_graph
 from magneto import (
     GroupElement,
@@ -202,3 +205,30 @@ def test_json_rejects_unknown_group():
     with pytest.raises(MagnetoError) as err:
         graph_from_json(json.dumps({"n": 2, "group": {"kind": "torus"}, "edges": []}))
     assert err.value.code == "BAD_GROUP"
+
+
+@st.composite
+def graphs_and_sets(draw):
+    """A graph on 0 to 10 vertices with hypothesis's edges and a list of
+    vertex sets, the empty set and repeats allowed."""
+    n = draw(st.integers(0, 10))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), max_size=2 * n)) if n > 1 else set()
+    g = build_graph(n, [(u, v, 1.0, ONE2) for u, v in sorted(pairs)])
+    return g, draw(st.lists(st.integers(0, g.full_mask()), min_size=1, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graphs_and_sets())
+def test_component_rounds_match_the_dfs_oracle(case):
+    # round t holds the t-th component, by least vertex, of each set that
+    # has one, in increasing set order
+    g, masks = case
+    members = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(g.n)) & 1 == 1
+    found = [[] for _ in masks]
+    for rows, comps in g.component_rounds(members):
+        assert np.all(np.diff(rows) > 0) and len(rows) == len(comps)
+        for r, comp in zip(rows.tolist(), comps):
+            found[r].append(tuple(np.flatnonzero(comp).tolist()))
+    assert [tuple(c) for c in found] == [dfs_components(g, m) for m in masks]
+    assert [g.components_of(m) for m in masks] == [dfs_components(g, m) for m in masks]

@@ -22,6 +22,7 @@ from magneto import (
     build_graph,
     cartesian_product_many,
     cheeger_constant,
+    frustration_exact,
     graph_from_json,
     isoperimetric_constant,
     spectral_data,
@@ -331,10 +332,8 @@ def verify_all_inputs(monkeypatch):
     return [graph_from_json(json.dumps(d)) for d in workloads.base_graphs("verify_all").values()]
 
 
-def test_an_exact_search_solves_only_v_and_its_near_ties(monkeypatch):
-    # the survivors get their values from one batch; only V, for the
-    # threshold, and the subsets within 1e-12 of the least quotient are
-    # solved one at a time, each once
+def _counted_solves(monkeypatch):
+    """A Counter of the masks that ``_solve_exact`` is called on from now on."""
     solves = Counter()
     solve = magneto.frustration._solve_exact
 
@@ -342,26 +341,43 @@ def test_an_exact_search_solves_only_v_and_its_near_ties(monkeypatch):
         solves[mask] += 1
         return solve(graph, mask, comps)
 
-    graphs = verify_all_inputs(monkeypatch) + [cycle_graph(8, 3, 1)]
     monkeypatch.setattr(magneto.frustration, "_solve_exact", counted)
+    return solves
+
+
+def test_an_exact_search_solves_only_v_on_its_own(monkeypatch):
+    # the survivors get their values from one batch; only V, for the
+    # threshold, is solved on its own, once
+    graphs = verify_all_inputs(monkeypatch) + [cycle_graph(8, 3, 1), k4_union(triangle=True)]
+    solves = _counted_solves(monkeypatch)
     for g in graphs:
         for delta in (math.inf, 3.0, 1.5):
-            slow = isoperimetric_constant(g, delta, profile=True)
-            near = {g.as_mask(c.subset) for c in slow.profile
-                    if c.objective <= slow.constant * (1 + 1e-12)}
             solves.clear()
             isoperimetric_constant(graph_from_json(g.to_json()), delta)
-            assert set(solves) == near | {g.full_mask()}
-            assert max(solves.values()) == 1
+            assert solves == {g.full_mask(): 1}
 
 
-def test_a_near_tie_from_the_batch_is_solved_on_its_own():
-    # the union of the K4 copies is a near tie whose batch value is 2 ulp
-    # low; solved on its own, it ties the copy that comes first
+def test_a_profiled_exact_search_solves_only_v_and_keeps_no_subset(monkeypatch):
+    # every subset is valued in the batch, which keeps nothing in the memo
+    g = k4_union(triangle=True)
+    solves = _counted_solves(monkeypatch)
+    res = cheeger_constant(g, profile=True)
+    assert len(res.profile) == 2**g.n - 1
+    assert solves == {g.full_mask(): 1}
+    kept = [key for key in g._memo if key[0] in ("frustration_exact", "frustration_heuristic")]
+    assert kept == [("frustration_exact", g.full_mask())]
+
+
+def test_a_disconnected_near_tie_keeps_the_first_minimizer():
+    # the union of the K4 copies ties either copy in exact arithmetic; the
+    # batch sums its copies' values in order, as its own solve does, so the
+    # copy that comes first stays the first minimizer
     g = k4_union(triangle=True)
     res = cheeger_constant(g)
     assert res.argmin == cheeger_constant(g, profile=True).argmin
     assert res.argmin.subset == (3, 4, 5, 7)
+    copies = [frustration_exact(g, c).value for c in ((3, 4, 5, 7), (0, 1, 2, 6))]
+    assert frustration_exact(g, range(8)).value == copies[0] + copies[1]
 
 
 def test_cycle_filter_solves_only_v_on_the_torus():

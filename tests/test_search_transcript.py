@@ -21,7 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from conftest import assert_report_matches, cycle_graph, k4_union, random_graph
+from conftest import assert_report_matches, cycle_graph, k3k4_union, k4_union, random_graph
 from magneto import GroupElement, build_graph, graph_from_json_dict
 from magneto.cli import main
 
@@ -82,20 +82,6 @@ def test_search_reports_match_the_transcript(tmp_path):
         assert_report_matches(report, run["report"], where)
 
 
-def _k3k4_union():
-    """A K3 and a K4 on a random relabelling of 7 vertices at k = 3, with
-    weights from U(0.1, 3) rounded to 3 places and random signatures."""
-    rng = np.random.default_rng(11)
-    perm = rng.permutation(7).tolist()
-    edges = []
-    for clique in (perm[:3], perm[3:]):
-        for a, u in enumerate(clique):
-            for v in clique[a + 1:]:
-                w = round(float(rng.uniform(0.1, 3.0)), 3)
-                edges.append((min(u, v), max(u, v), w, GroupElement.cyclic(int(rng.integers(0, 3)), 3)))
-    return build_graph(7, edges)
-
-
 def _record(directory):
     rng = np.random.default_rng(2028)
     xi = GroupElement.cyclic(1, 3)
@@ -115,7 +101,7 @@ def _record(directory):
         "k4union": k4_union(),
         "empty": build_graph(0, []),
         "k4triangle": k4_union(triangle=True),
-        "k3k4": _k3k4_union(),
+        "k3k4": k3k4_union(),
     }
     out = {"graphs": {name: json.loads(g.to_json()) for name, g in graphs.items()}, "runs": []}
     paths = {}
