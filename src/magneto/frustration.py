@@ -10,10 +10,10 @@ a set's values in component order, so they give the same float:
 ``frustration_exact`` decodes the lexicographically first minimizer from the
 arrays of its steps, and ``_frustration_values`` runs it on blocks of
 same-size components of many sets.
-``frustration_heuristic`` is greedy coordinate descent and only ever yields
-an upper bound, which is exact, 0, on the components that a spanning-tree
-test finds balanced. Its restarts are the rows of arrays, in blocks of
-bounded size, that every sweep updates at once; each row's per-vertex step
+``frustration_heuristic`` and the value-only ``_heuristic_values`` run greedy
+coordinate descent, an upper bound only, exact (0) on the components that a
+spanning-tree test finds balanced. Its restarts are rows of arrays, in
+bounded blocks, that every sweep updates at once; each row's per-vertex step
 sums its local costs in a fixed order, so the ties that unit weights make,
 and the h_upper that perfbench checks on the c4 x c4 torus, do not depend on
 how a BLAS build rounds. ``frustrated_cycle_packing`` bounds the index
@@ -69,18 +69,6 @@ def l1_switch_cost(g: MagneticGraph, subset, tau: SwitchingAssignment) -> float:
     return total
 
 
-def _component_local_edges(g, comp, mask):
-    """Edges of the induced subgraph restricted to one component, in local indices."""
-    pos = {u: i for i, u in enumerate(comp)}
-    in_comp = set(comp)
-    out = []
-    for idx in g.induced_edge_indices(mask):
-        u, v = int(g.eu[idx]), int(g.ev[idx])
-        if u in in_comp:
-            out.append((pos[u], pos[v], idx))
-    return out
-
-
 def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) -> FrustrationResult:
     """Global minimum of the l1 switch cost over tau: V1 -> S^1_k.
 
@@ -92,9 +80,9 @@ def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) ->
     """
     _check_cyclic(g)
     mask = g.as_mask(subset)
-    comps = g.components_of(mask)
-    _check_budget(g.group_order, sum(map(len, comps)), len(comps), budget)
-    return g.memo(("frustration_exact", mask), lambda: _solve_exact(g, mask, comps))
+    comps = _component_rows(g, g.indicator(mask)[None])[1]
+    _check_budget(g.group_order, int(comps.sum()), len(comps), budget)
+    return g.memo(("frustration_exact", mask), lambda: _solve_exact(g, comps))
 
 
 def _check_cyclic(g: MagneticGraph) -> None:
@@ -109,6 +97,17 @@ def _check_budget(k: int, size: int, n_comps: int, budget: int) -> None:
         raise MagnetoError(
             "BUDGET_EXCEEDED", f"gauge-fixed space {k}^{size - n_comps} exceeds budget {budget}"
         )
+
+
+def _component_rows(g: MagneticGraph, members: np.ndarray) -> tuple:
+    """(owner, comps) of a block of sets, given as rows of booleans over the
+    vertices: comps[i], a row of booleans, is a component of set owner[i],
+    and each set's components come in a run, by increasing least vertex."""
+    rounds = g.component_rounds(members)
+    owner = np.concatenate([rows for rows, _ in rounds] + [np.zeros(0, dtype=np.int64)])
+    comps = np.concatenate([comp for _, comp in rounds] + [members[:0]])
+    order = np.argsort(owner, kind="stable")
+    return owner[order], comps[order]
 
 
 def _frustration_values(g: MagneticGraph, members: np.ndarray, budget: int) -> np.ndarray:
@@ -127,8 +126,7 @@ def _frustration_values(g: MagneticGraph, members: np.ndarray, budget: int) -> n
         return np.zeros(0)
     _check_cyclic(g)
     k = g.group_order
-    # each component's set and vertices, a set's components in order
-    owner, comps = (np.concatenate(part) for part in zip(*g.component_rounds(members)))
+    owner, comps = _component_rows(g, members)
     n_comps = np.bincount(owner, minlength=len(members))
     for size, c in zip(members.sum(axis=1).tolist(), n_comps.tolist()):
         _check_budget(k, size, c, budget)
@@ -231,28 +229,46 @@ def _dist_table(k: int) -> np.ndarray:
     return 2.0 * np.sin(np.pi * np.minimum(j, k - j) / k)
 
 
-def _solve_exact(g: MagneticGraph, mask: int, comps: tuple) -> FrustrationResult:
-    """``_eliminate`` per component, then a forward decode: vertex j = 1, 2,
-    ... takes the first exponent that reaches the least entry of its step's
+def _solve_exact(g: MagneticGraph, comps: np.ndarray) -> FrustrationResult:
+    """``_eliminate`` per component row, then a forward decode: vertex j = 1,
+    2, ... takes the first exponent that reaches the least entry of its step's
     array, given the exponents of the vertices below it. That is the
     lexicographically first minimizer, since exact ties stay float ties."""
     k = g.group_order
-    total, evaluations, assignment = 0.0, 0, {}
+    total, evaluations, exps = 0.0, 0, np.zeros(g.n, dtype=np.int64)
     for comp in comps:
         steps = []
-        total += float(_eliminate(g, g.indicator(comp)[None], steps)[0])
-        exps = [0] * len(comp)
+        total += float(_eliminate(g, comp[None], steps)[0])
+        local = [0] * int(comp.sum())
         for axes, cost in reversed(steps):
-            exps[axes[0]] = int(np.argmin(cost[(0, slice(None)) + tuple(exps[a] for a in axes[1:])]))
-        assignment.update(zip(comp, exps))
-        evaluations += k ** (len(comp) - 1)
-    verts = sorted(assignment)
-    tau = SwitchingAssignment.from_exponents(verts, [assignment[u] for u in verts], k)
+            local[axes[0]] = int(np.argmin(cost[(0, slice(None)) + tuple(local[a] for a in axes[1:])]))
+        exps[comp] = local
+        evaluations += k ** (len(local) - 1)
+    verts = np.flatnonzero(comps.any(axis=0)).tolist()
+    tau = SwitchingAssignment.from_exponents(verts, exps[verts], k)
     return FrustrationResult(total, tau, True, evaluations)
 
 
-def _heuristic_cyclic(g, comp_verts, edges, restarts, rng):
-    """Coordinate descent over exponents; returns (cost, exponent dict).
+def _incidence(g: MagneticGraph, comp: np.ndarray) -> tuple:
+    """(edges, incident) of a component row, its vertices numbered 0, 1, ...
+    in label order: edges = (local ends lu, lv, edge indices) in storage
+    order, and incident[i] = (neighbours, signatures from i, weights) of the
+    edges at vertex i, in storage order (an edge's signature is negated at
+    its upper end)."""
+    e = np.flatnonzero(comp[g.eu] & comp[g.ev])
+    pos = np.cumsum(comp) - 1
+    lu, lv = pos[g.eu[e]], pos[g.ev[e]]
+    # both ends of each edge in turn, stably sorted: each vertex's edges in storage order
+    ends = np.column_stack((lu, lv)).ravel()
+    order = np.argsort(ends, kind="stable")
+    nb, sig, w = (np.column_stack(c).ravel()[order]
+                  for c in ((lv, lu), (g.sig[e], -g.sig[e]), (g.ew[e], g.ew[e])))
+    cut = np.searchsorted(ends[order], np.arange(pos[-1] + 2)).tolist()
+    return (lu, lv, e), [(nb[a:b], sig[a:b], w[a:b]) for a, b in zip(cut, cut[1:])]
+
+
+def _heuristic_cyclic(g, edges, incident, restarts, rng):
+    """Coordinate descent over exponents; returns (cost, local exponents).
 
     The max(1, restarts) starts are the rows of arrays of at most about
     _CHUNK // (k * deg + edges) rows each: row 0 is all zeros, row r >= 1 is
@@ -264,25 +280,13 @@ def _heuristic_cyclic(g, comp_verts, edges, restarts, rng):
     less than _SWEEP_TOL; the first row of least final cost wins.
     """
     k = g.group_order
-    m = len(comp_verts)
+    m = len(incident)
     dist = 2.0 * np.sin(np.pi * np.arange(k) / k)
-    b = np.arange(k)[:, None]
-    # incident[i] = (neighbor positions, oriented signature exponents, weights);
-    # no list is empty, since the component is connected
-    incident = [[] for _ in range(m)]
-    for lu, lv, idx in edges:
-        s, w = int(g.sig[idx]), float(g.ew[idx])
-        incident[lu].append((lv, s, w))
-        incident[lv].append((lu, -s, w))
-    # inc[i] = (neighbor positions, (b - s) mod k as a (k, deg) table, weights)
-    inc = [
-        (np.array([t[0] for t in lst], dtype=np.int64),
-         (b - np.array([t[1] for t in lst], dtype=np.int64)) % k,
-         np.array([t[2] for t in lst]))
-        for lst in incident
-    ]
-    lu, lv, eidx = (np.array(col, dtype=np.int64) for col in zip(*edges))
-    sig, w = g.sig[eidx].astype(np.int64), g.ew[eidx]
+    # inc[i] = (neighbor positions, the (k, deg) table of (b - s) mod k over the
+    # exponents b, weights); no list is empty, since the component is connected
+    inc = [(nb, (np.arange(k)[:, None] - sig) % k, wt) for nb, sig, wt in incident]
+    lu, lv, e = edges
+    sig, w = g.sig[e], g.ew[e]
 
     def costs_of(rows):
         return np.cumsum(dist[(rows[:, lu] - rows[:, lv] - sig) % k] * w, axis=1)[:, -1]
@@ -308,7 +312,7 @@ def _heuristic_cyclic(g, comp_verts, edges, restarts, rng):
 
     total = max(1, restarts)
     # each row holds k * deg floats per vertex step and one per edge in costs_of
-    block = max(1, _CHUNK // (k * max(len(nb) for nb, _, _ in inc) + len(edges)))
+    block = max(1, _CHUNK // (k * max(len(nb) for nb, _, _ in inc) + len(e)))
     best_cost, best_a = math.inf, None
     for start in range(0, total, block):
         rows = [np.zeros(m, dtype=np.int64)] if start == 0 else []
@@ -319,46 +323,34 @@ def _heuristic_cyclic(g, comp_verts, edges, restarts, rng):
         r = int(np.argmin(costs))
         if costs[r] < best_cost:
             best_cost, best_a = float(costs[r]), a[r]
-    return best_cost, {u: int(best_a[i]) for i, u in enumerate(comp_verts)}
+    return best_cost, best_a
 
 
-def _balanced_exponents(g, m, edges):
+def _balanced_exponents(g, edges, m):
     """Exponents, local vertex 0 at 0, that make every edge of a connected
-    component cost 0, or None if no switching does (the component is not
-    balanced): a spanning tree fixes them, and every other edge must agree."""
+    component of m vertices cost 0, or None if no switching does (the
+    component is not balanced): a breadth-first spread from vertex 0 fixes
+    them, and every edge must agree."""
     k = g.group_order
-    nbrs = [[] for _ in range(m)]
-    for lu, lv, idx in edges:  # edge (u, v) costs 0 when a_u = a_v + s_uv
-        s = int(g.sig[idx])
-        nbrs[lu].append((lv, -s))
-        nbrs[lv].append((lu, s))
-    exps = [0] + [None] * (m - 1)
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, step in nbrs[u]:
-            if exps[v] is None:
-                exps[v] = (exps[u] + step) % k
-                stack.append(v)
-    if all((exps[lu] - exps[lv] - g.sig[idx]) % k == 0 for lu, lv, idx in edges):
-        return exps
-    return None
+    lu, lv, e = edges
+    sig = g.sig[e]
+    exps = np.full(m, -1)
+    exps[0] = 0
+    while (exps < 0).any():  # edge (u, v) costs 0 when a_u = a_v + s_uv
+        for a, b, step in ((lu, lv, -sig), (lv, lu, sig)):
+            new = (exps[a] >= 0) & (exps[b] < 0)
+            exps[b[new]] = (exps[a[new]] + step[new]) % k
+    return exps if np.all((exps[lu] - exps[lv] - sig) % k == 0) else None
 
 
-def _heuristic_circle(g, comp_verts, edges, restarts, rng):
-    pos = {u: i for i, u in enumerate(comp_verts)}
-    m = len(comp_verts)
-    incident = [[] for _ in range(m)]
-    for lu, lv, idx in edges:
-        s, w = float(g.sig[idx]), float(g.ew[idx])
-        incident[lu].append((lv, s, w))
-        incident[lv].append((lu, -s, w))
+def _heuristic_circle(g, edges, incident, restarts, rng):
+    m = len(incident)
+    lu, lv, e = edges
+    terms = list(zip(lu.tolist(), lv.tolist(), g.sig[e].tolist(), g.ew[e].tolist()))
+    inc = [list(zip(*(col.tolist() for col in cols))) for cols in incident]
 
     def cost_of(theta):
-        return sum(
-            2.0 * abs(math.sin((theta[lu] - theta[lv] - float(g.sig[idx])) / 2.0)) * float(g.ew[idx])
-            for lu, lv, idx in edges
-        )
+        return sum(2.0 * abs(math.sin((theta[a] - theta[b] - s) / 2.0)) * w for a, b, s, w in terms)
 
     best_cost, best_t = math.inf, np.zeros(m)
     for r in range(max(1, restarts)):
@@ -366,15 +358,13 @@ def _heuristic_circle(g, comp_verts, edges, restarts, rng):
         prev = cost_of(theta)
         for _ in range(_MAX_SWEEPS):
             for i in range(m):
-                if not incident[i]:
-                    theta[i] = 0.0
-                    continue
                 # the l1 coordinate minimizer sits at one of the neighbor targets
-                # s_uv * tau(v) (the summands are concave away from their corners)
-                cands = [theta[lv] + s for lv, s, _ in incident[i]] + [theta[i]]
+                # s_uv * tau(v) (the summands are concave away from their corners);
+                # no list is empty, since the component is connected
+                cands = [theta[v] + s for v, s, _ in inc[i]] + [theta[i]]
                 costs = [
-                    sum(2.0 * abs(math.sin((c - theta[lv] - s) / 2.0)) * w
-                        for lv, s, w in incident[i])
+                    sum(2.0 * abs(math.sin((c - theta[v] - s) / 2.0)) * w
+                        for v, s, w in inc[i])
                     for c in cands
                 ]
                 theta[i] = cands[int(np.argmin(costs))] % (2 * np.pi)
@@ -385,52 +375,63 @@ def _heuristic_circle(g, comp_verts, edges, restarts, rng):
         cur = cost_of(theta)
         if cur < best_cost:
             best_cost, best_t = cur, theta.copy()
-    return best_cost, {u: float(best_t[pos[u]]) for u in comp_verts}
+    return best_cost, best_t
 
 
 def frustration_heuristic(
     g: MagneticGraph, subset, restarts: int = 8, seed: int = 0
 ) -> FrustrationResult:
     """Coordinate-descent upper bound on the frustration index, computed once per
-    graph, subset, restart count and seed. Each solve seeds its own rng, so a
-    kept result is the one a fresh graph gives."""
+    graph, subset, restart count and seed: ``_heuristic_values`` on the one
+    set, plus the switching it finds. Each solve seeds its own rng, so a kept
+    result is the one a fresh graph gives."""
     mask = g.as_mask(subset)
-    return g.memo(("frustration_heuristic", mask, restarts, seed),
-                  lambda: _solve_heuristic(g, mask, restarts, seed))
+
+    def solve():
+        solved = []
+        value = float(_heuristic_values(g, g.indicator(mask)[None], restarts, seed, solved)[0])
+        found = np.zeros(g.n, dtype=np.int64 if g.group_kind == CYCLIC else float)
+        for comp, local in solved:
+            found[comp] = local
+        verts = g.mask_vertices(mask)
+        tau = (SwitchingAssignment.from_exponents(verts, found[verts], g.group_order)
+               if g.group_kind == CYCLIC else SwitchingAssignment.from_angles(verts, found[verts]))
+        evaluations = max(1, restarts) * sum(len(local) for _, local in solved)
+        return FrustrationResult(value, tau, False, evaluations)
+
+    return g.memo(("frustration_heuristic", mask, restarts, seed), solve)
 
 
-def _solve_heuristic(g: MagneticGraph, mask: int, restarts: int, seed: int) -> FrustrationResult:
-    rng = np.random.default_rng(seed)
-    comps = g.components_of(mask)
-    total = 0.0
-    assignment = {}
-    evaluations = 0
-    for comp in comps:
-        edges = _component_local_edges(g, comp, mask)
-        if len(comp) == 1 or not edges:
-            assignment[comp[0]] = 0 if g.group_kind == CYCLIC else 0.0
-            continue
-        if g.group_kind == CYCLIC:
-            exps = _balanced_exponents(g, len(comp), edges)
-            if exps is None:
-                cost, vals = _heuristic_cyclic(g, comp, edges, restarts, rng)
+def _heuristic_values(g: MagneticGraph, members: np.ndarray, restarts: int, seed: int,
+                      solved: list | None = None) -> np.ndarray:
+    """The heuristic frustration of each set, given as rows of booleans over
+    the vertices, with nothing kept in the graph's memo. One pass finds every
+    set's components; each set then seeds its own rng and sums its
+    components' costs in order. A lone vertex costs 0 and draws nothing; a
+    balanced component costs 0 after the draws the descent would make. With
+    ``solved`` a list, each solved component's (row, local values) goes on it."""
+    owner, comps = _component_rows(g, members)
+    bounds = np.searchsorted(owner, np.arange(len(members) + 1)).tolist()
+    sizes = comps.sum(axis=1).tolist()
+    values = np.zeros(len(members))
+    for i in range(len(members)):
+        rng = np.random.default_rng(seed)
+        for c in range(bounds[i], bounds[i + 1]):
+            if sizes[c] == 1:
+                continue
+            edges, incident = _incidence(g, comps[c])
+            if g.group_kind == CIRCLE:
+                cost, local = _heuristic_circle(g, edges, incident, restarts, rng)
+            elif (local := _balanced_exponents(g, edges, sizes[c])) is None:
+                cost, local = _heuristic_cyclic(g, edges, incident, restarts, rng)
             else:
-                # the draws _heuristic_cyclic would make, so that the later
-                # components see the same rng state
                 for _ in range(max(1, restarts) - 1):
-                    rng.integers(0, g.group_order, size=len(comp))
-                cost, vals = 0.0, dict(zip(comp, exps))
-        else:
-            cost, vals = _heuristic_circle(g, comp, edges, restarts, rng)
-        total += cost
-        assignment.update(vals)
-        evaluations += max(1, restarts) * len(comp)
-    verts = sorted(assignment)
-    if g.group_kind == CYCLIC:
-        tau = SwitchingAssignment.from_exponents(verts, [assignment[u] for u in verts], g.group_order)
-    else:
-        tau = SwitchingAssignment.from_angles(verts, [assignment[u] for u in verts])
-    return FrustrationResult(total, tau, False, evaluations)
+                    rng.integers(0, g.group_order, size=sizes[c])
+                cost = 0.0
+            values[i] += cost
+            if solved is not None:
+                solved.append((comps[c], local))
+    return values
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ exceeds it:
 
 Each prunes only subsets whose bound strictly exceeds the threshold, so no
 tie is dropped, and a heuristic frustration is at least the true one, so
-none changes a heuristic search either. An exact search values its survivors
-(every subset when profiled) in one batch, each as ``frustration_exact``
-would; a heuristic search solves them one at a time. The first minimizer in
-increasing popcount, then increasing bitmask value, is kept. A heuristic
-search reports the least of max(cycle bound, spectral bound) as a certified
-lower bound on the constant. A search is kept per graph and mode, past the
-checks it makes first.
+none changes a heuristic search either. V is solved alone, for the threshold;
+the other survivors (all other subsets when profiled) are valued in one batch,
+as ``frustration_exact`` or ``frustration_heuristic`` would, keeping nothing
+per subset. The first minimizer in increasing popcount, then increasing
+bitmask value, is kept. A heuristic search reports the least of max(cycle
+bound, spectral bound) as a certified lower bound on the constant. A search
+is kept per graph and mode, past the checks it makes first.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .frustration import (
     _CHUNK,
     DEFAULT_BUDGET,
     _frustration_values,
+    _heuristic_values,
     frustrated_cycle_packing,
     frustration_exact,
     frustration_heuristic,
@@ -173,14 +174,10 @@ def _scalar_powers(vol, exponent: float) -> np.ndarray:
 
 
 def _search(g, delta, heuristic, budget, restarts, seed, profile) -> IsoperimetricResult:
-    def frustration_of(mask):
-        if heuristic:
-            return frustration_heuristic(g, mask, restarts=restarts, seed=seed)
-        return frustration_exact(g, mask, budget=budget)
-
     exponent = _volume_exponent(delta)
     bnd, vol, pop = _subset_tables(g)
-    full_value = frustration_of(g.full_mask()).value
+    full_value = (frustration_heuristic(g, g.full_mask(), restarts, seed) if heuristic
+                  else frustration_exact(g, g.full_mask(), budget)).value
     # The quotient at V (boundary 0) seeds the threshold. Three array passes
     # over the nonempty masks, in increasing order, drop the subsets whose
     # boundary bound, then cycle bound, then spectral bound exceeds it; its
@@ -203,14 +200,12 @@ def _search(g, delta, heuristic, budget, restarts, seed, profile) -> Isoperimetr
     left = survivors[kept[spectral <= threshold]]
     masks = _in_popcount_order(np.arange(1, 1 << g.n) if profile else left, pop)
 
-    if heuristic:
-        values = np.array([frustration_of(mask).value for mask in masks.tolist()])
-    else:
-        # V's value is the threshold's, if V survived the filters
-        values = np.full(len(masks), full_value)
-        rest = masks != g.full_mask()
-        members = (masks[rest, None] >> np.arange(g.n)) & 1 == 1
-        values[rest] = _frustration_values(g, members, budget)
+    # V's value is the threshold's, if V survived the filters
+    values = np.full(len(masks), full_value)
+    rest = masks != g.full_mask()
+    members = (masks[rest, None] >> np.arange(g.n)) & 1 == 1
+    values[rest] = (_heuristic_values(g, members, restarts, seed) if heuristic
+                    else _frustration_values(g, members, budget))
     quot = (values + bnd[masks]) / _scalar_powers(vol[masks], exponent)
 
     def cut(i):

@@ -102,33 +102,37 @@ def heat_kernel(g: MagneticGraph, t: float, signed: bool = True) -> HeatKernel:
         raise MagnetoError("NONFINITE_TIME", f"t must be finite, got {t}")
     if t < 0:
         raise MagnetoError("NEGATIVE_TIME", f"t must be >= 0, got {t}")
-    sd = spectral_data(g, signed=signed)
+    return _heat_kernel(spectral_data(g, signed=signed), t)
+
+
+def _heat_kernel(sd: SpectralData, t: float) -> HeatKernel:
     k = (sd.eigenvectors * _decay(sd.eigenvalues, t)[None, :]) @ sd.eigenvectors.conj().T
     return HeatKernel(t, 0.5 * (k + k.conj().T))
 
 
 def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float) -> dict:
-    """Verify the basic heat-kernel identities at one (t, a) pair."""
+    """Verify the basic heat-kernel identities at one (t, a) pair; one solve per Laplacian."""
     if not 0 <= a <= t:
         raise MagnetoError("NEGATIVE_TIME", "need 0 <= a <= t")
-    k_t = heat_kernel(g, t).matrix
-    k_a = heat_kernel(g, a).matrix
-    k_rest = heat_kernel(g, t - a).matrix
+    if not math.isfinite(t):
+        raise MagnetoError("NONFINITE_TIME", f"t must be finite, got {t}")
+    lap = magnetic_laplacian(g)
+    signed, plain = eigendecomposition(lap), spectral_data(g, signed=False)
+    k_t, k_a, k_rest = (_heat_kernel(signed, s).matrix for s in (t, a, t - a))
     scale = max(1.0, float(np.abs(k_t).max()))
     tol = DEFAULT_TOL
     report = {}
     report["semigroup"] = float(np.abs(k_a @ k_rest - k_t).max()) <= tol.semigroup * scale
-    lap = magnetic_laplacian(g)
     if t >= tol.heat_eq_step:
-        k_plus = heat_kernel(g, t + tol.heat_eq_step).matrix
-        k_minus = heat_kernel(g, t - tol.heat_eq_step).matrix
+        k_plus = _heat_kernel(signed, t + tol.heat_eq_step).matrix
+        k_minus = _heat_kernel(signed, t - tol.heat_eq_step).matrix
         deriv = (k_plus - k_minus) / (2.0 * tol.heat_eq_step)
         rhs = -lap @ k_t
         denom = max(float(np.abs(rhs).max()), 1.0)
         report["heat_equation"] = float(np.abs(deriv - rhs).max()) <= tol.heat_eq_rel * denom
     else:
         report["heat_equation"] = True  # step larger than t; skipped
-    k_plain = heat_kernel(g, t, signed=False).matrix
+    k_plain = _heat_kernel(plain, t).matrix
     sqrt_mu = np.sqrt(g.mu)
     report["unsigned_positive"] = float(k_plain.real.min(initial=0.0)) >= -tol.entrywise and \
         float(np.abs(k_plain.imag).max(initial=0.0)) <= tol.entrywise
@@ -199,14 +203,14 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) ->
     sd = spectral_data(g)
     # the eigenvalue memo takes its values from this solve when it has none
     g.memo(("eigenvalues", True), lambda: _read_only(sd.eigenvalues))
+    weights = np.abs(sd.eigenvectors) ** 2  # K_t(u, u) = weights @ e^{-lambda t}
     entries = []
     ok = True
     for t in t_grid:
         decay = _decay(sd.eigenvalues, t)
         lhs = float(np.sum(decay))
         rhs = c_big * vol / t ** (delta / 2.0)
-        diag = (np.abs(sd.eigenvectors) ** 2) @ decay
-        diag_ok = bool(np.all(diag <= c_big * g.mu / t ** (delta / 2.0) + DEFAULT_TOL.pointwise))
+        diag_ok = bool(np.all(weights @ decay <= c_big * g.mu / t ** (delta / 2.0) + DEFAULT_TOL.pointwise))
         good = lhs <= rhs + DEFAULT_TOL.pointwise and diag_ok
         ok = ok and good
         entries.append({"t": float(t), "trace": lhs, "bound": rhs, "ok": good})

@@ -295,6 +295,22 @@ def test_heuristic_restart_blocks_match_the_oracle(chunk):
             assert {u: res.minimizer[u].exponent for u in assignment} == assignment
 
 
+def test_a_balanced_component_makes_the_draws_of_the_descent():
+    # the path 0-1-2 is balanced and costs 0 without a descent, but it draws
+    # what its descent would, so the frustrated component after it starts from
+    # other rows than it does alone, and here ends lower
+    k = 4
+    edges = [(0, 1, 1), (1, 2, 3), (3, 4, 0), (3, 5, 0), (4, 6, 1), (4, 8, 2), (5, 6, 0),
+             (5, 8, 3), (5, 9, 2), (6, 7, 1), (6, 8, 2), (6, 9, 0), (7, 8, 3), (7, 9, 2)]
+    g = build_graph(10, [(u, v, 1.0, GroupElement.cyclic(s, k)) for u, v, s in edges])
+    masks = [g.full_mask(), g.full_mask() & ~1]
+    values = [frustration_heuristic(g, mask, restarts=3, seed=0).value for mask in masks]
+    assert values == [heuristic_frustration(g, mask, 3, 0)[0] for mask in masks]
+    assert values[0] < frustration_heuristic(g, g.full_mask() & ~7, restarts=3, seed=0).value
+    members = np.array([g.indicator(mask) for mask in masks])
+    assert magneto.frustration._heuristic_values(g, members, 3, 0).tolist() == values
+
+
 def test_heuristic_memory_does_not_grow_with_restarts():
     # rows are swept in blocks of about _CHUNK // (k * deg + edges), so many
     # restarts cost time, not memory
@@ -334,7 +350,8 @@ def test_exact_ties_go_to_the_lexicographically_first_minimizer(seed):
     for base in _unit_cases():
         for g in (base, relabelled(base, rng.permutation(base.n).tolist())):
             mask = g.full_mask()
-            res = magneto.frustration._solve_exact(g, mask, g.components_of(mask))
+            comps = np.array([g.indicator(comp) for comp in g.components_of(mask)])
+            res = magneto.frustration._solve_exact(g, comps)
             count, assignment = lex_first_min_count(g, mask)
             assert {u: res.minimizer[u].exponent for u in assignment} == assignment
             assert res.value == pytest.approx(count * x[g.group_order], rel=1e-12)

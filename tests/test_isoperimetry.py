@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magneto.isoperimetry
-from conftest import circle_cycle, cycle_graph, k2_graph, k4_union, peak_bytes, random_graph
+from conftest import (
+    circle_cycle,
+    cycle_graph,
+    k2_graph,
+    k3k4_union,
+    k4_union,
+    peak_bytes,
+    random_graph,
+)
 from frustration_oracle import enumerate_frustration
 from packing_oracle import all_roots_packing
 from subset_tables_oracle import bit_array_tables
@@ -23,6 +31,7 @@ from magneto import (
     cartesian_product_many,
     cheeger_constant,
     frustration_exact,
+    frustration_heuristic,
     graph_from_json,
     isoperimetric_constant,
     spectral_data,
@@ -337,9 +346,9 @@ def _counted_solves(monkeypatch):
     solves = Counter()
     solve = magneto.frustration._solve_exact
 
-    def counted(graph, mask, comps):
-        solves[mask] += 1
-        return solve(graph, mask, comps)
+    def counted(graph, comps):
+        solves[graph.as_mask(np.flatnonzero(comps.any(axis=0)))] += 1
+        return solve(graph, comps)
 
     monkeypatch.setattr(magneto.frustration, "_solve_exact", counted)
     return solves
@@ -366,6 +375,38 @@ def test_a_profiled_exact_search_solves_only_v_and_keeps_no_subset(monkeypatch):
     assert solves == {g.full_mask(): 1}
     kept = [key for key in g._memo if key[0] in ("frustration_exact", "frustration_heuristic")]
     assert kept == [("frustration_exact", g.full_mask())]
+
+
+def heuristic_search_cases():
+    """A random graph at k = 4, a disjoint union at k = 3, and a disjoint
+    union of a triangle and a 4-cycle with S^1 signatures, relabelled."""
+    rng = np.random.default_rng(23)
+    perm = rng.permutation(7).tolist()
+    ring = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    circle = build_graph(7, [(perm[u], perm[v], float(rng.uniform(0.5, 2.0)),
+                              GroupElement.circle(float(rng.uniform(0.0, 2.0 * math.pi))))
+                             for u, v in ring])
+    return [random_graph(rng, 8, 4), k3k4_union(), circle]
+
+
+@pytest.mark.parametrize("restarts, seed", [(8, 0), (2, 3)])
+def test_a_profiled_heuristic_search_values_each_subset_as_its_own_solve(restarts, seed):
+    # each subset's batch value seeds its own rng, as a solve of it alone does
+    for g in heuristic_search_cases():
+        res = cheeger_constant(g, heuristic=True, restarts=restarts, seed=seed, profile=True)
+        assert len(res.profile) == 2**g.n - 1
+        fresh = graph_from_json(g.to_json())
+        for cut in res.profile:
+            assert cut.frustration == frustration_heuristic(fresh, cut.subset, restarts, seed).value
+
+
+def test_a_profiled_heuristic_search_keeps_no_subset():
+    # V is solved on its own for the threshold; the batch keeps nothing
+    for g in heuristic_search_cases():
+        res = cheeger_constant(g, heuristic=True, restarts=2, seed=1, profile=True)
+        assert len(res.profile) == 2**g.n - 1
+        kept = [key for key in g._memo if key[0] in ("frustration_exact", "frustration_heuristic")]
+        assert kept == [("frustration_heuristic", g.full_mask(), 2, 1)]
 
 
 def test_a_disconnected_near_tie_keeps_the_first_minimizer():

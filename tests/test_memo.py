@@ -1,9 +1,11 @@
 """Exact frustration is computed once per graph and subset, heuristic
 frustration once per graph, subset, restart count and seed, eigenvalues once
 per graph and signedness, and a subset search once per graph and mode (delta,
-heuristic, budget, restarts, seed, profile). Connected components are found
-afresh on every call, and heat kernels are not kept: the verify suites ask
-for each one once."""
+heuristic, budget, restarts, seed, profile). A search keeps the frustration
+of V alone: it values its other subsets in one batch, exact or heuristic.
+Connected components are found afresh on every call, and heat kernels are not
+kept: the verify suites ask for each one once, and the heat-kernel check
+takes all of its kernels from one solve of each Laplacian."""
 
 import io
 import math
@@ -24,6 +26,7 @@ from magneto import (
     frustration_exact,
     frustration_heuristic,
     graph_from_json,
+    heat_kernel_properties_check,
     isoperimetric_constant,
     spectral_data,
 )
@@ -37,9 +40,9 @@ def test_verify_all_solves_each_subset_once(tmp_path, monkeypatch):
     solves = Counter()
     solve = magneto.frustration._solve_exact
 
-    def counted(graph, mask, comps):
-        solves[mask] += 1
-        return solve(graph, mask, comps)
+    def counted(graph, comps):
+        solves[graph.as_mask(np.flatnonzero(comps.any(axis=0)))] += 1
+        return solve(graph, comps)
 
     monkeypatch.setattr(magneto.frustration, "_solve_exact", counted)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -201,6 +204,21 @@ def test_domination_suite_solves_each_heat_kernel_once(tmp_path, monkeypatch):
     assert len(solves) == 6  # t in (0.1, 1, 10), signed and unsigned
     assert sorted(kernels) == sorted({(t, signed) for t in (0.1, 1.0, 10.0)
                                       for signed in (True, False)})
+
+
+def test_heat_kernel_check_solves_each_laplacian_once(monkeypatch):
+    # its five signed kernels come from one solve, its unsigned one from another
+    g = random_graph(np.random.default_rng(19), 8, 3)
+    solves = counted_eigendecompositions(monkeypatch)
+    for t, a in ((1.0, 0.5), (1e-6, 0.0)):  # with and without the heat-equation step
+        solves.clear()
+        assert heat_kernel_properties_check(g, t, a)["ok"]
+        assert len(solves) == 2
+    solves.clear()
+    with pytest.raises(MagnetoError) as err:
+        heat_kernel_properties_check(g, math.inf, 1.0)
+    assert err.value.code == "NONFINITE_TIME"
+    assert not solves
 
 
 def test_eigenvalues_are_solved_once_and_read_only(monkeypatch):

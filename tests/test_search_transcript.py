@@ -1,14 +1,16 @@
 """The subset-search commands reproduce a recorded transcript.
 
-``search_transcript.json`` holds ten fixed graphs (two unit cycles, one of
+``search_transcript.json`` holds eleven fixed graphs (two unit cycles, one of
 them with a non-unit measure, a disconnected graph, a balanced graph, two
-random graphs, two copies of one weighted K4, the empty graph and the two
-disjoint unions of ``UNIONS``) and the report of every command in
-``COMMANDS`` on each nonempty one but the unions, of ``UNION_COMMANDS`` on
-the unions, plus the error lines of ``ERRORS``. A report must match its record key for key as in
-``tests/test_verify_transcript.py``; only the graph path of ``inputs`` is left
-out. Heuristic searches are not recorded; ``tests/heuristic_oracle.py`` pins
-their tie-breaking. ``python tests/test_search_transcript.py DIR`` re-records
+random graphs, two copies of one weighted K4, the empty graph, the two
+disjoint unions of ``UNIONS`` and the S^1 graph ``circle5``) and the report
+of every command in ``COMMANDS`` on each cyclic nonempty one but the unions,
+of ``UNION_COMMANDS`` on the unions, of ``HEURISTIC_COMMANDS`` on every
+nonempty one, plus the error lines of ``ERRORS``. A report must match its
+record key for key as in ``tests/test_verify_transcript.py``; only the graph
+path of ``inputs`` is left out. The heuristic's ties do not depend on the
+BLAS build, so its searches are recorded as well; ``tests/heuristic_oracle.py``
+pins their tie-breaking. ``python tests/test_search_transcript.py DIR`` re-records
 the transcript (writing its graph files under DIR) after a deliberate change of
 output.
 """
@@ -42,13 +44,21 @@ UNION_COMMANDS = (
     ["cheeger", "--profile"],
     ["isoperimetric", "--delta", "1.5"],
 )
-# EMPTY_GRAPH, BAD_DELTA and BUDGET_EXCEEDED (the subset limit)
+HEURISTIC_COMMANDS = (
+    ["cheeger", "--heuristic"],
+    ["cheeger", "--heuristic", "--profile"],
+    ["isoperimetric", "--delta", "1.5", "--heuristic", "--restarts", "2", "--seed", "3"],
+    ["frustration", "--heuristic"],
+)
+# EMPTY_GRAPH, BAD_DELTA, BUDGET_EXCEEDED (the subset limit) and
+# CONTINUOUS_GROUP (an exact search over S^1)
 ERRORS = (
     ("empty", ["cheeger"]),
     ("empty", ["isoperimetric", "--delta", "3"]),
     ("cycle4", ["isoperimetric", "--delta", "1"]),
     ("random8", ["cheeger", "--subset-limit", "3"]),
     ("random8", ["isoperimetric", "--delta", "3", "--subset-limit", "3"]),
+    ("circle5", ["cheeger"]),
 )
 
 
@@ -63,9 +73,11 @@ def _run(command, path):
 
 def _cases(names):
     """(graph, command) of each recorded run, in order."""
-    plain = [name for name in names if name not in UNIONS and name != "empty"]
+    plain = [name for name in names if name not in (*UNIONS, "empty", "circle5")]
+    nonempty = [name for name in names if name != "empty"]
     return ([(name, c) for name in plain for c in COMMANDS]
-            + [(name, c) for name in UNIONS for c in UNION_COMMANDS] + list(ERRORS))
+            + [(name, c) for name in UNIONS for c in UNION_COMMANDS]
+            + [(name, c) for name in nonempty for c in HEURISTIC_COMMANDS] + list(ERRORS))
 
 
 def test_search_reports_match_the_transcript(tmp_path):
@@ -102,6 +114,14 @@ def _record(directory):
         "empty": build_graph(0, []),
         "k4triangle": k4_union(triangle=True),
         "k3k4": k3k4_union(),
+        # a 5-cycle with S^1 angles and a chord: two frustrated cycles
+        "circle5": build_graph(
+            5,
+            [(u, (u + 1) % 5, w, GroupElement.circle(a))
+             for u, (w, a) in enumerate([(1.0, 0.3), (1.5, 1.1), (0.8, 0.0), (1.2, 2.0), (1.0, 0.7)])]
+            + [(0, 2, 0.9, GroupElement.circle(2.5))],
+            [1.0, 1.5, 0.5, 1.0, 2.0],
+        ),
     }
     out = {"graphs": {name: json.loads(g.to_json()) for name, g in graphs.items()}, "runs": []}
     paths = {}
