@@ -222,8 +222,8 @@ def _suite_kato(g, args):
 
 
 def _suite_domination(g, args):
-    violations = sum(int(np.count_nonzero(~spectral.domination_check(g, t, fs)))
-                     for fs in _random_fs(args.seed, args.trials, g.n) for t in (0.1, 1.0, 10.0))
+    violations = sum(int(np.count_nonzero(~spectral.domination_check(g, (0.1, 1.0, 10.0), fs)))
+                     for fs in _random_fs(args.seed, args.trials, g.n))
     return {"trials": args.trials, "violations": violations}, violations == 0
 
 

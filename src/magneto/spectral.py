@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,14 @@ DEFAULT_TOL = Tolerances()
 class SpectralData:
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns
-    residual: float
+    matrix: np.ndarray  # the Hermitian matrix they decompose
+
+    @cached_property
+    def residual(self) -> float:
+        """max |H V - V Lambda|, computed on first read: it is an n x n product
+        that no check needs."""
+        h, vecs = self.matrix, self.eigenvectors
+        return float(np.abs(h @ vecs - vecs * self.eigenvalues[None, :]).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,7 @@ def eigendecomposition(h: np.ndarray) -> SpectralData:
     if float(np.abs(h - h.conj().T).max(initial=0.0)) > DEFAULT_TOL.hermitian * scale:
         raise MagnetoError("NOT_HERMITIAN", "matrix is not Hermitian within tolerance")
     lam, vecs = np.linalg.eigh(h)
-    residual = float(np.abs(h @ vecs - vecs * lam[None, :]).max(initial=0.0))
-    return SpectralData(lam, vecs, residual)
+    return SpectralData(lam, vecs, h)
 
 
 def spectral_data(g: MagneticGraph, signed: bool = True) -> SpectralData:
@@ -95,13 +102,21 @@ def _decay(eigenvalues: np.ndarray, t: float) -> np.ndarray:
         return np.exp(-np.maximum(eigenvalues, 0.0) * t)
 
 
+def _check_finite(t: float, name: str = "t") -> None:
+    if not math.isfinite(t):
+        raise MagnetoError("NONFINITE_TIME", f"{name} must be finite, got {t}")
+
+
+def _check_time(t: float) -> None:
+    _check_finite(t)
+    if t < 0:
+        raise MagnetoError("NEGATIVE_TIME", f"t must be >= 0, got {t}")
+
+
 def heat_kernel(g: MagneticGraph, t: float, signed: bool = True) -> HeatKernel:
     """K_t = sum_j e^{-lambda_j t} P_j, computed from the full spectrum on every
     call; the graph keeps no n x n kernel."""
-    if not math.isfinite(t):
-        raise MagnetoError("NONFINITE_TIME", f"t must be finite, got {t}")
-    if t < 0:
-        raise MagnetoError("NEGATIVE_TIME", f"t must be >= 0, got {t}")
+    _check_time(t)
     return _heat_kernel(spectral_data(g, signed=signed), t)
 
 
@@ -112,10 +127,10 @@ def _heat_kernel(sd: SpectralData, t: float) -> HeatKernel:
 
 def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float) -> dict:
     """Verify the basic heat-kernel identities at one (t, a) pair; one solve per Laplacian."""
+    _check_finite(t)
+    _check_finite(a, "a")
     if not 0 <= a <= t:
         raise MagnetoError("NEGATIVE_TIME", "need 0 <= a <= t")
-    if not math.isfinite(t):
-        raise MagnetoError("NONFINITE_TIME", f"t must be finite, got {t}")
     lap = magnetic_laplacian(g)
     signed, plain = eigendecomposition(lap), spectral_data(g, signed=False)
     k_t, k_a, k_rest = (_heat_kernel(signed, s).matrix for s in (t, a, t - a))
@@ -164,27 +179,42 @@ def kato_check(g: MagneticGraph, f) -> np.ndarray:
     return np.all(lhs <= rhs + DEFAULT_TOL.pointwise, axis=-1)
 
 
-def domination_check(g: MagneticGraph, t: float, f) -> np.ndarray:
-    """|e^{-t Delta_sigma} f| <= e^{-t Delta} |f| and |K^s_t| <= K_t entrywise, for
-    one vertex function or a stack of them along the last axis; one verdict per
-    function."""
+def domination_check(g: MagneticGraph, t, f) -> np.ndarray:
+    """|e^{-t Delta_sigma} f| <= e^{-t Delta} |f| and |K^s_t| <= K_t entrywise, at
+    each time in ``t`` (a number or an array of them) for one vertex function
+    or a stack of them along the last axis: verdicts of shape
+    ``np.shape(t) + f.shape[:-1]``. All times take their kernels from one
+    solve of each Laplacian, signed and unsigned."""
+    times = np.asarray(t, dtype=float)
+    for s in times.flat:
+        _check_time(s)
     f = np.asarray(f, dtype=complex)
-    k_signed = heat_kernel(g, t, signed=True).matrix
-    k_plain = heat_kernel(g, t, signed=False).matrix
+    signed, plain = spectral_data(g, signed=True), spectral_data(g, signed=False)
     tol = DEFAULT_TOL.pointwise
-    vec_ok = np.all(np.abs(f @ k_signed.T) <= (np.abs(f) @ k_plain.T).real + tol, axis=-1)
-    ent_ok = np.all(np.abs(k_signed) <= k_plain.real + tol)
-    return vec_ok & ent_ok
+    verdicts = []
+    for s in times.flat:
+        k_signed, k_plain = _heat_kernel(signed, s).matrix, _heat_kernel(plain, s).matrix
+        vec_ok = np.all(np.abs(f @ k_signed.T) <= (np.abs(f) @ k_plain.T).real + tol, axis=-1)
+        ent_ok = np.all(np.abs(k_signed) <= k_plain.real + tol)
+        verdicts.append(vec_ok & ent_ok)
+    return np.array(verdicts, dtype=bool).reshape(times.shape + f.shape[:-1])
 
 
 def trace_bound_constant(delta: float, c_delta: float, d_mu: float) -> float:
     """C_delta = (72 delta d_mu)^{delta/2} c_delta^{-delta} ((delta-1)/(delta-2))^delta."""
     if not 2.0 < delta < math.inf:
         raise MagnetoError("BAD_DELTA", f"trace bound requires finite delta > 2, got {delta}")
+    if not math.isfinite(c_delta):
+        raise MagnetoError("NONFINITE_CONSTANT", f"c_delta must be finite, got {c_delta}")
     if c_delta <= 0:
         raise MagnetoError("ZERO_CONSTANT", "c_delta must be positive (unbalanced graph)")
     return (72.0 * delta * d_mu) ** (delta / 2.0) / c_delta**delta * \
         ((delta - 1.0) / (delta - 2.0)) ** delta
+
+
+def _volume_and_d_mu(g: MagneticGraph) -> tuple:
+    """(vol(V), d_mu) of the graph, computed once per graph."""
+    return g.memo("volume_and_d_mu", lambda: (g.volume(g.full_mask()), g.max_mu_degree()))
 
 
 def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) -> dict:
@@ -192,14 +222,13 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) ->
     plus the per-vertex diagonal bound K_t(u,u) <= C_delta mu(u) / t^{delta/2}.
     Its eigendecomposition also fills the graph's eigenvalue memo, so a later
     ``eigenvalues(g)`` does not solve again."""
-    c_big = trace_bound_constant(delta, c_delta, g.max_mu_degree())
+    vol, d_mu = _volume_and_d_mu(g)
+    c_big = trace_bound_constant(delta, c_delta, d_mu)
     t_grid = tuple(t_grid)
     for t in t_grid:
-        if not math.isfinite(t):
-            raise MagnetoError("NONFINITE_TIME", f"t must be finite, got {t}")
+        _check_finite(t)
         if t <= 0:
             raise MagnetoError("BAD_DELTA", "t grid must be positive")
-    vol = g.volume(g.full_mask())
     sd = spectral_data(g)
     # the eigenvalue memo takes its values from this solve when it has none
     g.memo(("eigenvalues", True), lambda: _read_only(sd.eigenvalues))
@@ -222,8 +251,8 @@ def eigenvalue_lower_bound_check(g: MagneticGraph, delta: float, c_delta: float,
     """lambda_k >= (delta / 2e) (k / (C_delta vol))^{2/delta}."""
     if not 1 <= k_index <= g.n:
         raise MagnetoError("BAD_INDEX", f"k must lie in 1..{g.n}")
-    c_big = trace_bound_constant(delta, c_delta, g.max_mu_degree())
-    vol = g.volume(g.full_mask())
+    vol, d_mu = _volume_and_d_mu(g)
+    c_big = trace_bound_constant(delta, c_delta, d_mu)
     bound = (delta / (2.0 * math.e)) * (k_index / (c_big * vol)) ** (2.0 / delta)
     lam_k = float(eigenvalues(g)[k_index - 1])
     return {"ok": lam_k >= bound - DEFAULT_TOL.pointwise, "lambda_k": lam_k, "bound": bound}

@@ -144,7 +144,7 @@ def test_suite_counts_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypa
     # stand-in verdicts that fail some rows, so that the counts are not 0
     monkeypatch.setattr(magneto.spectral, "kato_check", lambda g, fs: fs.real[:, 0] > 0)
     monkeypatch.setattr(magneto.spectral, "domination_check",
-                        lambda g, t, fs: fs.imag[:, 0] > t - 1.0)
+                        lambda g, ts, fs: fs.imag[:, 0] > np.asarray(ts)[:, None] - 1.0)
     path = write_graph(tmp_path, cycle_graph(5, 3, 1))
     reports = []
     for entries in (1 << 16, 10):  # 2 rows of 5 entries a block

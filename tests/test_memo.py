@@ -1,11 +1,11 @@
 """Exact frustration is computed once per graph and subset, heuristic
 frustration once per graph, subset, restart count and seed, eigenvalues once
-per graph and signedness, and a subset search once per graph and mode (delta,
-heuristic, budget, restarts, seed, profile). A search keeps the frustration
-of V alone: it values its other subsets in one batch, exact or heuristic.
-Connected components are found afresh on every call, and heat kernels are not
-kept: the verify suites ask for each one once, and the heat-kernel check
-takes all of its kernels from one solve of each Laplacian."""
+per graph and signedness, vol(V) and d_mu once per graph, and a subset search
+once per graph and mode (delta, heuristic, budget, restarts, seed, profile).
+A search keeps the frustration of V alone: it values its other subsets in one
+batch, exact or heuristic. Connected components are found afresh on every
+call, and heat kernels are not kept: the heat-kernel and domination checks
+take all of their kernels from one solve of each Laplacian."""
 
 import io
 import math
@@ -31,6 +31,7 @@ from magneto import (
     spectral_data,
 )
 from magneto.cli import main
+from magneto.graph import MagneticGraph
 
 
 def test_verify_all_solves_each_subset_once(tmp_path, monkeypatch):
@@ -186,24 +187,27 @@ def counted_eigendecompositions(monkeypatch):
 
 
 def test_domination_suite_solves_each_heat_kernel_once(tmp_path, monkeypatch):
+    # its kernels at t in (0.1, 1, 10) come from one solve of each Laplacian
     g = random_graph(np.random.default_rng(8), 8, 3)
     path = tmp_path / "g.json"
     path.write_text(g.to_json())
     solves = counted_eigendecompositions(monkeypatch)
     kernels = []
-    heat_kernel = magneto.spectral.heat_kernel
+    heat_kernel = magneto.spectral._heat_kernel
 
-    def counted(graph, t, signed=True):
-        kernels.append((t, signed))
-        return heat_kernel(graph, t, signed=signed)
+    def counted(sd, t):
+        kernels.append((float(t), sd))
+        return heat_kernel(sd, t)
 
-    monkeypatch.setattr(magneto.spectral, "heat_kernel", counted)
+    monkeypatch.setattr(magneto.spectral, "_heat_kernel", counted)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["verify", str(path), "--suite", "domination", "--trials", "5"])
     assert code == 0
-    assert len(solves) == 6  # t in (0.1, 1, 10), signed and unsigned
-    assert sorted(kernels) == sorted({(t, signed) for t in (0.1, 1.0, 10.0)
-                                      for signed in (True, False)})
+    assert len(solves) == 2  # signed and unsigned
+    spectra = {id(sd) for _, sd in kernels}
+    assert len(spectra) == 2
+    assert sorted((t, id(sd)) for t, sd in kernels) == sorted(
+        (t, sd) for t in (0.1, 1.0, 10.0) for sd in spectra)
 
 
 def test_heat_kernel_check_solves_each_laplacian_once(monkeypatch):
@@ -251,6 +255,25 @@ def test_all_k_eigenvalue_bounds_solve_once(monkeypatch):
     for k, rep in enumerate(warm, start=1):
         assert rep == eigenvalue_lower_bound_check(graph_from_json(g.to_json()), 3.0, c3, k)
         assert rep["lambda_k"] == lam[k - 1]
+
+
+def test_all_k_checks_read_volume_and_d_mu_once(monkeypatch):
+    g = random_unbalanced_graph(np.random.default_rng(13), 9, 4)
+    c3 = isoperimetric_constant(g, 3.0).constant
+    reads = Counter()
+    for name in ("volume", "max_mu_degree"):
+        def counted(self, *args, name=name, method=getattr(MagneticGraph, name)):
+            reads[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(MagneticGraph, name, counted)
+    trace = magneto.spectral.trace_bound_check(g, 3.0, c3, (0.1, 1.0))
+    warm = [eigenvalue_lower_bound_check(g, 3.0, c3, k) for k in range(1, g.n + 1)]
+    assert reads == {"volume": 1, "max_mu_degree": 1}
+    fresh = graph_from_json(g.to_json())
+    assert trace == magneto.spectral.trace_bound_check(fresh, 3.0, c3, (0.1, 1.0))
+    for k, rep in enumerate(warm, start=1):
+        assert rep == eigenvalue_lower_bound_check(graph_from_json(g.to_json()), 3.0, c3, k)
 
 
 def test_trace_suite_solves_once(tmp_path, monkeypatch):

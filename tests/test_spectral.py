@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import magneto.spectral
 from conftest import cycle_graph, random_graph, random_vertex_function, sorted_eigs
 from laplacian_oracle import loop_laplacian
+from spectral_oracle import domination_per_t, eager_residual
 from magneto import (
     MagnetoError,
     SwitchingAssignment,
@@ -34,6 +35,19 @@ from magneto.groups import CIRCLE, CYCLIC, TWO_PI
 
 def c4_minus(mu=None):
     return cycle_graph(4, 2, 1, mu=mu)
+
+
+def flux_ring():
+    # perfbench's spectral_lemma ring up to gauge: n = 120, flux 2/5, mu = 2
+    return cycle_graph(120, 5, 2, mu=[2.0] * 120)
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def refuse(h):
+        raise AssertionError("bad arguments are rejected before any eigensolve")
+
+    monkeypatch.setattr(magneto.spectral, "eigendecomposition", refuse)
 
 
 def test_c4_minus_spectrum():
@@ -151,6 +165,42 @@ def test_eigendecomposition_handles_degenerate_clusters():
     assert sd.residual < 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(g=laplacian_graphs())
+def test_lazy_residual_equals_the_eager_one(g):
+    for signed in (True, False):
+        h = magnetic_laplacian(g, signed=signed)
+        assert eigendecomposition(h).residual == eager_residual(h)
+
+
+def test_residual_is_one_product_made_on_first_read(monkeypatch):
+    # eigenvectors that count every matmul they enter
+    products = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(method)
+            inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    h = magnetic_laplacian(flux_ring())
+    want = eager_residual(h)
+    eigh = np.linalg.eigh
+
+    def counted_eigh(h):
+        lam, vecs = eigh(h)
+        return lam, vecs.view(Counted)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    sd = eigendecomposition(h)
+    assert isinstance(sd.eigenvectors, Counted)
+    assert not products
+    assert sd.residual == want and want < 1e-9
+    assert sd.residual == want
+    assert products == ["__call__"]  # read twice, made once
+
+
 def test_heat_kernel_identity_at_zero():
     g = c4_minus()
     k0 = heat_kernel(g, 0.0).matrix
@@ -205,6 +255,51 @@ def test_stacked_checks_give_the_single_function_verdicts(trials):
         assert verdicts.tolist() == [i < trials // 2 for i in range(trials)]
 
 
+@pytest.mark.parametrize("times", [0.5, (0.1, 1.0, 10.0), ((0.0, 0.1), (1.0, 10.0)), ()])
+def test_domination_verdicts_match_the_per_t_checks(times, monkeypatch):
+    rng = np.random.default_rng(113)
+    g = random_graph(rng, 6, 4)
+    fs = rng.normal(size=(5, g.n)) + 1j * rng.normal(size=(5, g.n))
+    fs[3, 0] = np.nan  # a failing row
+    want = np.array([domination_per_t(g, t, fs) for t in np.ravel(times)],
+                    dtype=bool).reshape(np.shape(times) + (5,))
+    solves = []
+    solve = magneto.spectral.eigendecomposition
+    monkeypatch.setattr(magneto.spectral, "eigendecomposition",
+                        lambda h: solves.append(1) or solve(h))
+    got = domination_check(g, times, fs)
+    assert len(solves) == 2  # one per Laplacian, signed and unsigned
+    assert got.dtype == bool and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(domination_check(g, times, fs[2]), want[..., 2])
+
+
+@pytest.mark.parametrize("check, times, code", [
+    (heat_kernel_properties_check, (math.nan, 0.5), "NONFINITE_TIME"),
+    (heat_kernel_properties_check, (1.0, math.nan), "NONFINITE_TIME"),
+    (heat_kernel_properties_check, (1.0, math.inf), "NONFINITE_TIME"),
+    (heat_kernel_properties_check, (-math.inf, -1.0), "NONFINITE_TIME"),
+    (heat_kernel_properties_check, (1.0, 2.0), "NEGATIVE_TIME"),
+    (domination_check, ((1.0, math.nan), np.ones(4)), "NONFINITE_TIME"),
+    (domination_check, ((1.0, -0.5), np.ones(4)), "NEGATIVE_TIME"),
+], ids=["t=nan", "a=nan", "a=inf", "t=-inf", "a>t", "domination nan", "domination t<0"])
+def test_bad_heat_kernel_times_are_rejected_before_solving(check, times, code, no_solve):
+    with pytest.raises(MagnetoError) as err:
+        check(c4_minus(), *times)
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize("c_delta", [math.nan, math.inf, -math.inf])
+def test_nonfinite_c_delta_is_rejected_before_solving(c_delta, no_solve):
+    g = c4_minus()
+    for call in (lambda: trace_bound_constant(3.0, c_delta, 2.0),
+                 lambda: trace_bound_check(g, 3.0, c_delta, (1.0,)),
+                 lambda: eigenvalue_lower_bound_check(g, 3.0, c_delta, 1)):
+        with pytest.raises(MagnetoError) as err:
+            call()
+        assert err.value.code == "NONFINITE_CONSTANT"
+
+
 def test_trace_bound_constant_formula():
     val = trace_bound_constant(3.0, 0.5, 2.0)
     expected = (72.0 * 3.0 * 2.0) ** 1.5 / 0.5**3 * (2.0 / 1.0) ** 3
@@ -237,11 +332,7 @@ def test_trace_and_eigenvalue_bounds_on_c4_minus():
     ((0.0,), "BAD_DELTA"),
     ((1.0, -1.0), "BAD_DELTA"),
 ])
-def test_trace_bound_rejects_bad_times_before_solving(t_grid, code, monkeypatch):
-    def no_solve(h):
-        raise AssertionError("the t grid is validated before any eigensolve")
-
-    monkeypatch.setattr(magneto.spectral, "eigendecomposition", no_solve)
+def test_trace_bound_rejects_bad_times_before_solving(t_grid, code, no_solve):
     with pytest.raises(MagnetoError) as err:
         trace_bound_check(c4_minus(), 3.0, 0.5, t_grid)
     assert err.value.code == code
