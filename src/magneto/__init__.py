@@ -47,9 +47,7 @@ from .functional import (
     verify_sobolev,
 )
 from .spectral import (
-    HeatKernel,
     SpectralData,
-    Tolerances,
     domination_check,
     eigendecomposition,
     eigenvalue_lower_bound_check,

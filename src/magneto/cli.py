@@ -156,9 +156,9 @@ def cmd_heat(args):
     return {
         "t": args.t,
         "unsigned": bool(args.unsigned),
-        "matrix_re": kern.matrix.real.tolist(),
-        "matrix_im": kern.matrix.imag.tolist(),
-        "trace": float(np.trace(kern.matrix).real),
+        "matrix_re": kern.real.tolist(),
+        "matrix_im": kern.imag.tolist(),
+        "trace": float(np.trace(kern).real),
     }, "OK"
 
 

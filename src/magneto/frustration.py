@@ -80,7 +80,7 @@ def frustration_exact(g: MagneticGraph, subset, budget: int = DEFAULT_BUDGET) ->
     """
     _check_cyclic(g)
     mask = g.as_mask(subset)
-    comps = _component_rows(g, g.indicator(mask)[None])[1]
+    comps = g.components(g.indicator(mask)[None])[1]
     _check_budget(g.group_order, int(comps.sum()), len(comps), budget)
     return g.memo(("frustration_exact", mask), lambda: _solve_exact(g, comps))
 
@@ -99,17 +99,6 @@ def _check_budget(k: int, size: int, n_comps: int, budget: int) -> None:
         )
 
 
-def _component_rows(g: MagneticGraph, members: np.ndarray) -> tuple:
-    """(owner, comps) of a block of sets, given as rows of booleans over the
-    vertices: comps[i], a row of booleans, is a component of set owner[i],
-    and each set's components come in a run, by increasing least vertex."""
-    rounds = g.component_rounds(members)
-    owner = np.concatenate([rows for rows, _ in rounds] + [np.zeros(0, dtype=np.int64)])
-    comps = np.concatenate([comp for _, comp in rounds] + [members[:0]])
-    order = np.argsort(owner, kind="stable")
-    return owner[order], comps[order]
-
-
 def _frustration_values(g: MagneticGraph, members: np.ndarray, budget: int) -> np.ndarray:
     """The exact frustration index of each set, given as rows of booleans over
     the vertices, nonempty and distinct: values alone, with no minimizer and
@@ -126,7 +115,7 @@ def _frustration_values(g: MagneticGraph, members: np.ndarray, budget: int) -> n
         return np.zeros(0)
     _check_cyclic(g)
     k = g.group_order
-    owner, comps = _component_rows(g, members)
+    owner, comps = g.components(members)
     n_comps = np.bincount(owner, minlength=len(members))
     for size, c in zip(members.sum(axis=1).tolist(), n_comps.tolist()):
         _check_budget(k, size, c, budget)
@@ -185,8 +174,6 @@ def _eliminate(g: MagneticGraph, members: np.ndarray, steps: list | None = None)
     pin = -b % k
     cost, axes = np.zeros(n_sets), []
     for j in range(s - 1, 0, -1):
-        if not lower[j] and axes[:1] != [j]:
-            continue  # no edge of the block reaches j
         joined = sorted(set(axes).union([i for i, _ in lower[j]], [j]) - {0}, reverse=True)
         short = set(joined) - set(axes)  # axes of length 1 until a table covers them
         cost = cost.reshape([n_sets] + [1 if a in short else k for a in joined])
@@ -410,7 +397,7 @@ def _heuristic_values(g: MagneticGraph, members: np.ndarray, restarts: int, seed
     components' costs in order. A lone vertex costs 0 and draws nothing; a
     balanced component costs 0 after the draws the descent would make. With
     ``solved`` a list, each solved component's (row, local values) goes on it."""
-    owner, comps = _component_rows(g, members)
+    owner, comps = g.components(members)
     bounds = np.searchsorted(owner, np.arange(len(members) + 1)).tolist()
     sizes = comps.sum(axis=1).tolist()
     values = np.zeros(len(members))

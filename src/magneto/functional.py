@@ -207,15 +207,12 @@ class QuotientReport:
     denominator: float
     quotient: float
     bound_low: float
-    bound_high: float
     satisfied: bool
 
 
 def _make_report(p, q, num, den, bound_low) -> QuotientReport:
     quot = num / den
-    return QuotientReport(
-        p, q, num, den, quot, bound_low, math.inf, quot >= bound_low - _SAT_TOL
-    )
+    return QuotientReport(p, q, num, den, quot, bound_low, quot >= bound_low - _SAT_TOL)
 
 
 def verify_sobolev(

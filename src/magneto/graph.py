@@ -171,31 +171,43 @@ class MagneticGraph:
     def components_of(self, mask: int) -> tuple:
         """Connected components (sorted vertex tuples) of the induced subgraph,
         in increasing order of their least vertex."""
-        rounds = self.component_rounds(self.indicator(mask)[None])
-        return tuple(tuple(np.flatnonzero(comp[0]).tolist()) for _, comp in rounds)
+        comps = self.components(self.indicator(mask)[None])[1]
+        return tuple(tuple(np.flatnonzero(comp).tolist()) for comp in comps)
 
-    def component_rounds(self, members: np.ndarray) -> list:
-        """The components of the subgraphs induced on a block of vertex sets,
-        given as rows of booleans, in rounds (rows, comps): in round t,
-        comps[i] is the t-th component, by least vertex, of set rows[i], and
-        rows holds the sets with more than t. A round starts each set's
-        component at its least vertex not yet placed and adds the neighbours
-        left in the set until no component of the block grows."""
+    def components(self, members: np.ndarray) -> tuple:
+        """(owner, comps) of the subgraphs induced on a block of vertex sets,
+        given as rows of booleans: comps[i], a row of booleans, is a component
+        of set owner[i], and each set's components come in a run, by
+        increasing least vertex, the sets in increasing order. A round starts
+        a component of each set at its least vertex not yet placed, then adds
+        the neighbours left in the set to the components that grew in the
+        last step until none grows."""
         adj = np.zeros((self.n, self.n), dtype=bool)
         adj[self.eu, self.ev] = adj[self.ev, self.eu] = True
         rows = np.flatnonzero(members.any(axis=1))
-        left, rounds = members[rows], []
+        left, owners, comps = members[rows], [rows[:0]], [members[:0]]
         while len(rows):
             comp = np.zeros_like(left)
             comp[np.arange(len(rows)), left.argmax(axis=1)] = True
-            grown = comp | comp @ adj & left
-            while (grown != comp).any():
-                comp, grown = grown, grown | grown @ adj & left
-            rounds.append((rows, comp))
+            live, part, near = np.arange(len(rows)), comp, left
+            while True:
+                grown = part | part @ adj & near
+                more = (grown != part).any(axis=1)
+                growing = np.count_nonzero(more)
+                if growing < len(live):
+                    comp[live] = part  # final for the rows that stopped
+                    if not growing:
+                        break
+                    live, grown, near = live[more], grown[more], near[more]
+                part = grown
+            owners.append(rows)
+            comps.append(comp)
             left &= ~comp
             more = left.any(axis=1)
             rows, left = rows[more], left[more]
-        return rounds
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        return owner[order], np.concatenate(comps)[order]
 
     # -- gauge transformations ----------------------------------------------
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -12,38 +11,18 @@ from .errors import MagnetoError
 from .graph import MagneticGraph
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    hermitian: float = 1e-12
-    residual: float = 1e-9
-    pointwise: float = 1e-10
-    entrywise: float = 1e-12
-    semigroup: float = 1e-9
-    heat_eq_step: float = 1e-5
-    heat_eq_rel: float = 1e-6
-
-
-DEFAULT_TOL = Tolerances()
+_HERMITIAN_TOL = 1e-12
+_POINTWISE_TOL = 1e-10
+_ENTRYWISE_TOL = 1e-12
+_SEMIGROUP_TOL = 1e-9
+_HEAT_EQ_STEP = 1e-5
+_HEAT_EQ_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class SpectralData:
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns
-    matrix: np.ndarray  # the Hermitian matrix they decompose
-
-    @cached_property
-    def residual(self) -> float:
-        """max |H V - V Lambda|, computed on first read: it is an n x n product
-        that no check needs."""
-        h, vecs = self.matrix, self.eigenvectors
-        return float(np.abs(h @ vecs - vecs * self.eigenvalues[None, :]).max(initial=0.0))
-
-
-@dataclass(frozen=True)
-class HeatKernel:
-    t: float
-    matrix: np.ndarray
 
 
 def magnetic_laplacian(g: MagneticGraph, signed: bool = True) -> np.ndarray:
@@ -69,10 +48,10 @@ def eigendecomposition(h: np.ndarray) -> SpectralData:
     """Full spectrum of a complex Hermitian matrix, ascending, with orthonormal eigenvectors."""
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    if float(np.abs(h - h.conj().T).max(initial=0.0)) > DEFAULT_TOL.hermitian * scale:
+    if float(np.abs(h - h.conj().T).max(initial=0.0)) > _HERMITIAN_TOL * scale:
         raise MagnetoError("NOT_HERMITIAN", "matrix is not Hermitian within tolerance")
     lam, vecs = np.linalg.eigh(h)
-    return SpectralData(lam, vecs, h)
+    return SpectralData(lam, vecs)
 
 
 def spectral_data(g: MagneticGraph, signed: bool = True) -> SpectralData:
@@ -113,16 +92,16 @@ def _check_time(t: float) -> None:
         raise MagnetoError("NEGATIVE_TIME", f"t must be >= 0, got {t}")
 
 
-def heat_kernel(g: MagneticGraph, t: float, signed: bool = True) -> HeatKernel:
-    """K_t = sum_j e^{-lambda_j t} P_j, computed from the full spectrum on every
-    call; the graph keeps no n x n kernel."""
+def heat_kernel(g: MagneticGraph, t: float, signed: bool = True) -> np.ndarray:
+    """The Hermitian n x n array K_t = sum_j e^{-lambda_j t} P_j, computed from
+    the full spectrum on every call; the graph keeps no n x n kernel."""
     _check_time(t)
     return _heat_kernel(spectral_data(g, signed=signed), t)
 
 
-def _heat_kernel(sd: SpectralData, t: float) -> HeatKernel:
+def _heat_kernel(sd: SpectralData, t: float) -> np.ndarray:
     k = (sd.eigenvectors * _decay(sd.eigenvalues, t)[None, :]) @ sd.eigenvectors.conj().T
-    return HeatKernel(t, 0.5 * (k + k.conj().T))
+    return 0.5 * (k + k.conj().T)
 
 
 def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float) -> dict:
@@ -133,25 +112,24 @@ def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float) -> dict:
         raise MagnetoError("NEGATIVE_TIME", "need 0 <= a <= t")
     lap = magnetic_laplacian(g)
     signed, plain = eigendecomposition(lap), spectral_data(g, signed=False)
-    k_t, k_a, k_rest = (_heat_kernel(signed, s).matrix for s in (t, a, t - a))
+    k_t, k_a, k_rest = (_heat_kernel(signed, s) for s in (t, a, t - a))
     scale = max(1.0, float(np.abs(k_t).max()))
-    tol = DEFAULT_TOL
     report = {}
-    report["semigroup"] = float(np.abs(k_a @ k_rest - k_t).max()) <= tol.semigroup * scale
-    if t >= tol.heat_eq_step:
-        k_plus = _heat_kernel(signed, t + tol.heat_eq_step).matrix
-        k_minus = _heat_kernel(signed, t - tol.heat_eq_step).matrix
-        deriv = (k_plus - k_minus) / (2.0 * tol.heat_eq_step)
+    report["semigroup"] = float(np.abs(k_a @ k_rest - k_t).max()) <= _SEMIGROUP_TOL * scale
+    if t >= _HEAT_EQ_STEP:
+        k_plus = _heat_kernel(signed, t + _HEAT_EQ_STEP)
+        k_minus = _heat_kernel(signed, t - _HEAT_EQ_STEP)
+        deriv = (k_plus - k_minus) / (2.0 * _HEAT_EQ_STEP)
         rhs = -lap @ k_t
         denom = max(float(np.abs(rhs).max()), 1.0)
-        report["heat_equation"] = float(np.abs(deriv - rhs).max()) <= tol.heat_eq_rel * denom
+        report["heat_equation"] = float(np.abs(deriv - rhs).max()) <= _HEAT_EQ_REL * denom
     else:
         report["heat_equation"] = True  # step larger than t; skipped
-    k_plain = _heat_kernel(plain, t).matrix
+    k_plain = _heat_kernel(plain, t)
     sqrt_mu = np.sqrt(g.mu)
-    report["unsigned_positive"] = float(k_plain.real.min(initial=0.0)) >= -tol.entrywise and \
-        float(np.abs(k_plain.imag).max(initial=0.0)) <= tol.entrywise
-    report["fixes_sqrt_mu"] = bool(np.allclose(k_plain @ sqrt_mu, sqrt_mu, atol=tol.semigroup))
+    report["unsigned_positive"] = float(k_plain.real.min(initial=0.0)) >= -_ENTRYWISE_TOL and \
+        float(np.abs(k_plain.imag).max(initial=0.0)) <= _ENTRYWISE_TOL
+    report["fixes_sqrt_mu"] = bool(np.allclose(k_plain @ sqrt_mu, sqrt_mu, atol=_SEMIGROUP_TOL))
     report["ok"] = all(v for key, v in report.items() if key != "ok")
     return report
 
@@ -166,7 +144,7 @@ def positivity_check(g: MagneticGraph, lam: float, f) -> bool:
     sd = spectral_data(g, signed=False)
     coeffs = sd.eigenvectors.conj().T @ f
     sol = sd.eigenvectors @ (coeffs / (sd.eigenvalues + lam))
-    return bool(np.min(sol.real, initial=0.0) >= -DEFAULT_TOL.pointwise)
+    return bool(np.min(sol.real, initial=0.0) >= -_POINTWISE_TOL)
 
 
 def kato_check(g: MagneticGraph, f) -> np.ndarray:
@@ -176,7 +154,7 @@ def kato_check(g: MagneticGraph, f) -> np.ndarray:
     absf = np.abs(f)
     lhs = absf * (absf @ magnetic_laplacian(g, signed=False).T).real
     rhs = ((f @ magnetic_laplacian(g, signed=True).T) * np.conj(f)).real
-    return np.all(lhs <= rhs + DEFAULT_TOL.pointwise, axis=-1)
+    return np.all(lhs <= rhs + _POINTWISE_TOL, axis=-1)
 
 
 def domination_check(g: MagneticGraph, t, f) -> np.ndarray:
@@ -190,12 +168,12 @@ def domination_check(g: MagneticGraph, t, f) -> np.ndarray:
         _check_time(s)
     f = np.asarray(f, dtype=complex)
     signed, plain = spectral_data(g, signed=True), spectral_data(g, signed=False)
-    tol = DEFAULT_TOL.pointwise
     verdicts = []
     for s in times.flat:
-        k_signed, k_plain = _heat_kernel(signed, s).matrix, _heat_kernel(plain, s).matrix
-        vec_ok = np.all(np.abs(f @ k_signed.T) <= (np.abs(f) @ k_plain.T).real + tol, axis=-1)
-        ent_ok = np.all(np.abs(k_signed) <= k_plain.real + tol)
+        k_signed, k_plain = _heat_kernel(signed, s), _heat_kernel(plain, s)
+        vec_ok = np.all(np.abs(f @ k_signed.T) <= (np.abs(f) @ k_plain.T).real + _POINTWISE_TOL,
+                        axis=-1)
+        ent_ok = np.all(np.abs(k_signed) <= k_plain.real + _POINTWISE_TOL)
         verdicts.append(vec_ok & ent_ok)
     return np.array(verdicts, dtype=bool).reshape(times.shape + f.shape[:-1])
 
@@ -239,8 +217,8 @@ def trace_bound_check(g: MagneticGraph, delta: float, c_delta: float, t_grid) ->
         decay = _decay(sd.eigenvalues, t)
         lhs = float(np.sum(decay))
         rhs = c_big * vol / t ** (delta / 2.0)
-        diag_ok = bool(np.all(weights @ decay <= c_big * g.mu / t ** (delta / 2.0) + DEFAULT_TOL.pointwise))
-        good = lhs <= rhs + DEFAULT_TOL.pointwise and diag_ok
+        diag_ok = bool(np.all(weights @ decay <= c_big * g.mu / t ** (delta / 2.0) + _POINTWISE_TOL))
+        good = lhs <= rhs + _POINTWISE_TOL and diag_ok
         ok = ok and good
         entries.append({"t": float(t), "trace": lhs, "bound": rhs, "ok": good})
     return {"ok": ok, "constant": c_big, "entries": entries}
@@ -255,4 +233,4 @@ def eigenvalue_lower_bound_check(g: MagneticGraph, delta: float, c_delta: float,
     c_big = trace_bound_constant(delta, c_delta, d_mu)
     bound = (delta / (2.0 * math.e)) * (k_index / (c_big * vol)) ** (2.0 / delta)
     lam_k = float(eigenvalues(g)[k_index - 1])
-    return {"ok": lam_k >= bound - DEFAULT_TOL.pointwise, "lambda_k": lam_k, "bound": bound}
+    return {"ok": lam_k >= bound - _POINTWISE_TOL, "lambda_k": lam_k, "bound": bound}

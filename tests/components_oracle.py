@@ -1,4 +1,4 @@
-"""Depth-first oracle for ``MagneticGraph.component_rounds``.
+"""Depth-first oracle for ``MagneticGraph.components``.
 
 ``dfs_components`` is ``components_of`` as it was before the batched finder:
 a depth-first search along the adjacency lists from each vertex of the set,

@@ -1,5 +1,5 @@
-"""Error codes that no other test raises, each from every entry point that
-checks it."""
+"""Error codes, each from the entry points that check it and that no other
+test reaches."""
 
 import io
 import json
@@ -9,10 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import cycle_graph
+from conftest import circle_cycle, cycle_graph
 from magneto import (
     MagnetoError,
     build_graph,
+    cartesian_product,
     cheeger_constant,
     heat_kernel,
     heat_kernel_properties_check,
@@ -20,6 +21,7 @@ from magneto import (
     positivity_check,
     radial_function,
     sector_function,
+    verify_sobolev,
 )
 from magneto.cli import main
 
@@ -32,18 +34,22 @@ CASES = {
         lambda: isoperimetric_constant(EMPTY, 3.0),
         lambda: isoperimetric_constant(EMPTY, math.inf, heuristic=True),
     ],
+    "BAD_EXPONENTS": [lambda: verify_sobolev(CYCLE, np.ones(4), "cheeger_p1")],  # no h
     "BAD_INPUT": [lambda: positivity_check(CYCLE, 1.0, [1.0, -0.5, 0.0, 2.0])],
     "BAD_LAMBDA": [
         lambda: positivity_check(CYCLE, 0.0, np.ones(4)),
         lambda: positivity_check(CYCLE, -1.0, np.ones(4)),
     ],
     "BAD_SIGNATURE": [lambda: build_graph(2, [(0, 1, 1.0, 1)])],
+    "BAD_SIZE": [lambda: build_graph(-1, [])],
+    "BAD_SUBSET": [lambda: CYCLE.as_mask([CYCLE.n])],
     "BAD_T": [
         lambda: sector_function(0.5, 0.0, 0.0, 4),
         lambda: sector_function(0.5, 1.5, 0.0, 4),
         lambda: radial_function(0.5, 0.0),
         lambda: radial_function(0.5, math.nan),
     ],
+    "MIXED_GROUPS": [lambda: cartesian_product(CYCLE, circle_cycle(3, [0.1, 0.2, 0.3]))],
     "NEGATIVE_TIME": [
         lambda: heat_kernel(CYCLE, -0.5),
         lambda: heat_kernel_properties_check(CYCLE, 1.0, 2.0),
@@ -55,6 +61,9 @@ CASES = {
         lambda: CYCLE.cycle_signature([0, 1, 0, 1]),  # edge {0, 1} twice
     ],
     "NO_SUCH_EDGE": [lambda: CYCLE.signature(0, 2)],
+    "ZERO_CONSTANT": [
+        lambda: verify_sobolev(CYCLE, np.ones(4), "iso_p1", delta=3.0, c_delta=0.0),
+    ],
 }
 
 

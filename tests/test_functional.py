@@ -417,6 +417,15 @@ def test_quotient_search_stays_above_lower_bound():
     assert q >= h / 3.0 - 1e-9
 
 
+def test_quotient_search_improves_a_poor_warm_start():
+    g = cycle_graph(5, 3, 1)
+    start = np.array([1.0, -1.0, 1.0, -1.0, 1.0], dtype=complex)
+    q_start = signed_gradient_norm(g, start, 1.0) / measure_norm(g, start, 1.0)
+    f, q = quotient_infimum_search(g, budget=50, seed=0, warm_start=start)
+    assert q < q_start
+    assert q == signed_gradient_norm(g, f, 1.0) / measure_norm(g, f, 1.0)
+
+
 def test_complex_power_and_bernoulli():
     assert complex_power(0j, 2.5) == 0j
     z = 0.5 * cmath.exp(1j * 0.7)

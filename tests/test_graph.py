@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from components_oracle import dfs_components
-from conftest import cycle_graph, k2_graph, random_graph
+from conftest import circle_cycle, cycle_graph, k2_graph, random_graph
 from magneto import (
     GroupElement,
     MagnetoError,
@@ -116,6 +116,21 @@ def test_switch_requires_full_domain_and_matching_group():
     assert err.value.code == "WRONG_GROUP"
 
 
+def test_switch_on_a_circle_graph():
+    # s^tau(u, v) = tau(u) s(u, v) tau(v)^{-1}; cycle signatures stay
+    g = circle_cycle(4, [0.3, 1.1, 2.0, 0.0])
+    angles = [0.5, 2.0, 4.0, 6.0]
+    switched = g.switch(SwitchingAssignment.from_angles(range(4), angles))
+    assert switched.group_kind == "circle"
+    for idx in range(g.m):
+        u, v = int(g.eu[idx]), int(g.ev[idx])
+        want = GroupElement.circle(angles[u] + g.sig[idx] - angles[v])
+        assert switched.signature_element(idx).isclose(want)
+    assert switched.cycle_signature([0, 1, 2, 3]).isclose(g.cycle_signature([0, 1, 2, 3]))
+    identity = SwitchingAssignment({u: GroupElement.identity("circle") for u in range(4)})
+    assert np.array_equal(g.switch(identity).sig, g.sig)
+
+
 def test_cycle_signature_invariant_under_switching():
     rng = np.random.default_rng(11)
     g = cycle_graph(5, 6, 4)
@@ -220,15 +235,14 @@ def graphs_and_sets(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=graphs_and_sets())
-def test_component_rounds_match_the_dfs_oracle(case):
-    # round t holds the t-th component, by least vertex, of each set that
-    # has one, in increasing set order
+def test_components_match_the_dfs_oracle(case):
+    # each set's components come in a run, by least vertex, in increasing set order
     g, masks = case
     members = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(g.n)) & 1 == 1
+    owner, comps = g.components(members)
+    assert np.all(np.diff(owner) >= 0) and len(owner) == len(comps)
     found = [[] for _ in masks]
-    for rows, comps in g.component_rounds(members):
-        assert np.all(np.diff(rows) > 0) and len(rows) == len(comps)
-        for r, comp in zip(rows.tolist(), comps):
-            found[r].append(tuple(np.flatnonzero(comp).tolist()))
+    for r, comp in zip(owner.tolist(), comps):
+        found[r].append(tuple(np.flatnonzero(comp).tolist()))
     assert [tuple(c) for c in found] == [dfs_components(g, m) for m in masks]
     assert [g.components_of(m) for m in masks] == [dfs_components(g, m) for m in masks]
