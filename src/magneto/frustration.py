@@ -99,26 +99,34 @@ def _check_budget(k: int, size: int, n_comps: int, budget: int) -> None:
         )
 
 
+def _check_sets(g: MagneticGraph, members: np.ndarray, budget: int) -> tuple:
+    """The checks of ``frustration_exact`` on each of a block of nonempty
+    sets, given as rows of booleans over the vertices, in row order, so the
+    first row that fails them raises what ``frustration_exact`` raises; then
+    the block's (owner, comps), as ``MagneticGraph.components`` gives them."""
+    _check_cyclic(g)
+    owner, comps = g.components(members)
+    n_comps = np.bincount(owner, minlength=len(members))
+    for size, c in zip(members.sum(axis=1).tolist(), n_comps.tolist()):
+        _check_budget(g.group_order, size, c, budget)
+    return owner, comps
+
+
 def _frustration_values(g: MagneticGraph, members: np.ndarray, budget: int) -> np.ndarray:
     """The exact frustration index of each set, given as rows of booleans over
     the vertices, nonempty and distinct: values alone, with no minimizer and
     nothing kept in the graph's memo, each the float ``frustration_exact``
     gives.
 
-    The checks of ``frustration_exact`` run first, on every row in order, so
-    the first row that fails them raises what ``frustration_exact`` raises.
-    The sets' components of each size s > 1 go to ``_eliminate`` in blocks of
-    max(1, _CHUNK // k^(s-1)), and each set sums its components' values in
-    component order, as ``_solve_exact`` does; a single vertex costs 0.
+    ``_check_sets`` runs first, on every row. The sets' components of each
+    size s > 1 go to ``_eliminate`` in blocks of max(1, _CHUNK // k^(s-1)),
+    and each set sums its components' values in component order, as
+    ``_solve_exact`` does; a single vertex costs 0.
     """
     if not len(members):
         return np.zeros(0)
-    _check_cyclic(g)
+    owner, comps = _check_sets(g, members, budget)
     k = g.group_order
-    owner, comps = g.components(members)
-    n_comps = np.bincount(owner, minlength=len(members))
-    for size, c in zip(members.sum(axis=1).tolist(), n_comps.tolist()):
-        _check_budget(k, size, c, budget)
     sizes, comp_values = comps.sum(axis=1), np.zeros(len(comps))
     for s in sorted(set(sizes.tolist()) - {1}):
         same = np.flatnonzero(sizes == s)

@@ -173,6 +173,19 @@ def coarea_lhs(g: MagneticGraph, f, budget: int = DEFAULT_BUDGET):
     return float(total[0]) if absf.ndim == 1 else total
 
 
+def _coarea_switch_bound(g: MagneticGraph, rows: np.ndarray) -> np.ndarray:
+    """An upper bound on ``coarea_lhs`` of each of a stack of normalized vertex
+    functions, given by their moduli |f| as rows: iota of each level set
+    bounded by the cost of the switching tau = 1, the sum over its edges of
+    w_uv |1 - s_uv|. Edge uv lies inside {|f| >= t} exactly for
+    t <= min(|f(u)|, |f(v)|), so those costs integrate to
+    sum_uv w_uv |1 - s_uv| min(|f(u)|, |f(v)|); the boundary term is the
+    one ``coarea_lhs`` integrates. O(m) per row, and no solve."""
+    a, b = np.take(rows, g.eu, axis=1), np.take(rows, g.ev, axis=1)
+    switch_costs = np.abs(1.0 - g.signature_values())
+    return np.sum(g.ew * (np.abs(a - b) + switch_costs * np.minimum(a, b)), axis=1)
+
+
 def signed_gradient_norm(g: MagneticGraph, f, p: float = 1.0):
     """Sum over edges of w_uv |f(u) - s_uv f(v)|^p (orientation invariant), for
     one vertex function or each of a stack of them along the last axis."""

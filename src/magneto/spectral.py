@@ -166,8 +166,15 @@ def domination_check(g: MagneticGraph, t, f) -> np.ndarray:
     times = np.asarray(t, dtype=float)
     for s in times.flat:
         _check_time(s)
+    return _domination_verdicts(spectral_data(g, signed=True), spectral_data(g, signed=False),
+                                times, f)
+
+
+def _domination_verdicts(signed: SpectralData, plain: SpectralData, times: np.ndarray, f):
+    """``domination_check``'s verdicts from the solves of the signed and the
+    unsigned Laplacian, at checked times, so a caller with many stacks of
+    functions solves each Laplacian once."""
     f = np.asarray(f, dtype=complex)
-    signed, plain = spectral_data(g, signed=True), spectral_data(g, signed=False)
     verdicts = []
     for s in times.flat:
         k_signed, k_plain = _heat_kernel(signed, s), _heat_kernel(plain, s)

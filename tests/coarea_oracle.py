@@ -6,11 +6,15 @@ increasing order, the superlevel set {|f| >= t} contributes (t - previous t)
 times its frustration plus its boundary measure. It checks max |f| = 1 first
 and solves each level with ``frustration_exact`` under ``budget``, so it
 raises what the one-function ``coarea_lhs`` raised, in the same order.
+
+``exact_coarea_violations`` is the count that ``verify --suite coarea`` made
+before it certified trials by a switch bound: every row of a block goes to
+``coarea_lhs``, every level set of it solved exactly.
 """
 
 import numpy as np
 
-from magneto import MagnetoError, frustration_exact
+from magneto import MagnetoError, coarea_lhs, frustration_exact, functional, signed_gradient_norm
 from magneto.frustration import DEFAULT_BUDGET
 
 
@@ -29,3 +33,11 @@ def levelwise_coarea_lhs(g, f, budget=DEFAULT_BUDGET):
         total += (t - prev) * (iota + g.boundary_measure(mask))
         prev = t
     return total
+
+
+def exact_coarea_violations(g, fs, budget=DEFAULT_BUDGET):
+    """How many rows of ``fs``, normalized vertex functions, have a coarea
+    integral above ``_sobolev_factor`` * ||grad_sigma f||_1 + 1e-9."""
+    lhs = coarea_lhs(g, fs, budget=budget)
+    rhs = functional._sobolev_factor(g) * signed_gradient_norm(g, fs, 1.0)
+    return int(np.count_nonzero(lhs > rhs + 1e-9))

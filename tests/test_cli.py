@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import magneto.cli
+import magneto.functional
 import magneto.isoperimetry
 import magneto.spectral
 from conftest import cycle_graph, k2_graph
@@ -141,18 +142,20 @@ def test_trial_functions_are_the_per_trial_draws(trials, block, monkeypatch):
 
 
 def test_suite_counts_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
-    # stand-in verdicts that fail some rows, so that the counts are not 0
+    # stand-in verdicts, and a coarea constant of 0.5, that fail some rows,
+    # so that the counts are not 0
     monkeypatch.setattr(magneto.spectral, "kato_check", lambda g, fs: fs.real[:, 0] > 0)
-    monkeypatch.setattr(magneto.spectral, "domination_check",
-                        lambda g, ts, fs: fs.imag[:, 0] > np.asarray(ts)[:, None] - 1.0)
+    monkeypatch.setattr(magneto.spectral, "_domination_verdicts",
+                        lambda signed, plain, ts, fs: fs.imag[:, 0] > ts[:, None] - 1.0)
+    monkeypatch.setattr(magneto.functional, "_sobolev_factor", lambda g: 0.5)
     path = write_graph(tmp_path, cycle_graph(5, 3, 1))
     reports = []
     for entries in (1 << 16, 10):  # 2 rows of 5 entries a block
         monkeypatch.setattr(magneto.cli, "_TRIAL_ENTRIES", entries)
         reports.append(run(capsys, ["verify", path, "--suite", "all", "--trials", "9"])[1])
     assert reports[0] == reports[1]
-    assert reports[0]["results"]["kato"]["violations"] > 0
-    assert reports[0]["results"]["domination"]["violations"] > 0
+    for suite in ("coarea", "kato", "domination"):
+        assert reports[0]["results"][suite]["violations"] > 0
 
 
 def test_verify_skips_balanced_sobolev(tmp_path, capsys):

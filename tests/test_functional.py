@@ -1,13 +1,15 @@
 import cmath
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarea_oracle import levelwise_coarea_lhs
+import magneto.functional
+from coarea_oracle import exact_coarea_violations, levelwise_coarea_lhs
 from conftest import circle_cycle, cycle_graph, random_graph, random_unbalanced_graph
 from key_quadrature_oracle import key_average_quadrature, quadrature_bound
 from magneto import (
@@ -32,6 +34,7 @@ from magneto import (
     signed_gradient_norm,
     verify_sobolev,
 )
+from magneto.cli import _coarea_violations
 from magneto.frustration import DEFAULT_BUDGET
 from magneto.functional import (
     bernoulli_check_batch,
@@ -270,6 +273,73 @@ def test_coarea_on_many_vertices_and_a_small_support():
     fs[:, 65] = 1.0
     assert coarea_lhs(g, fs) == pytest.approx([levelwise_coarea_lhs(g, f) for f in fs],
                                               rel=1e-12, abs=0.0)
+
+
+@st.composite
+def coarea_suite_blocks(draw):
+    """(graph, block of normalized vertex functions, budget) on a random
+    cyclic graph. Its signature is xi^(a_u - a_v) for a random gauge a,
+    times a random element on none, some or all of its edges. A row is
+    either drawn as the suite draws it, or gauge-aligned: xi^a times moduli
+    that are 1 but on a few vertices, 0 on some, so that its gradient is
+    small, the tau = 1 bound seldom certifies it, and its support may be a
+    proper subset. The small budgets fail some supports and pass others."""
+    k = draw(st.sampled_from([3, 2, 4, 5, 1]))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = [p for p, keep in zip(pairs, rng.random(len(pairs)) < draw(st.floats(0.2, 0.8)))
+             if keep]
+    gauge = rng.integers(k, size=n)
+    noisy = rng.random(len(pairs)) < draw(st.sampled_from([0.0, 0.25, 1.0]))
+    sig = [int(gauge[u] - gauge[v] + noise) % k
+           for (u, v), noise in zip(pairs, np.where(noisy, rng.integers(k, size=len(pairs)), 0))]
+    edges = [(u, v, float(rng.uniform(0.5, 2.0)), GroupElement.cyclic(j, k))
+             for (u, v), j in zip(pairs, sig)]
+    g = build_graph(n, edges, rng.uniform(0.5, 2.0, size=n))
+    fs = []
+    for aligned in draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        if aligned:
+            moduli = np.ones(n)
+            for u, level in draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(0.0, 1.0)),
+                                          max_size=n - 1)):
+                moduli[u] = level
+            moduli[draw(st.integers(0, n - 1))] = 1.0
+            fs.append(np.exp(2j * np.pi * gauge / k) * moduli)
+        else:
+            fs.append(rng.normal(size=n) + 1j * rng.normal(size=n))
+    budget = draw(st.sampled_from([DEFAULT_BUDGET, 10, 100]))
+    return g, normalize_vertex_function(fs), budget
+
+
+@pytest.mark.parametrize("factor", [magneto.functional._sobolev_factor, lambda _: 0.3],
+                         ids=["true-factor", "factor-0.3"])
+@settings(max_examples=150, deadline=None)
+@given(case=coarea_suite_blocks())
+def test_the_certified_coarea_count_is_the_exact_count(factor, case):
+    # the same count, or the same error; at factor 0.3 both paths count
+    # violations, where at the true factor every count is 0
+    g, fs, budget = case
+
+    def outcome(count):
+        try:
+            return count(g, fs, budget)
+        except MagnetoError as exc:
+            return exc.code, exc.message
+
+    with mock.patch.object(magneto.functional, "_sobolev_factor", factor):
+        assert outcome(_coarea_violations) == outcome(exact_coarea_violations)
+
+
+def test_a_small_factor_makes_both_coarea_counts_nonzero(monkeypatch):
+    rng = np.random.default_rng(11)
+    g = random_graph(rng, 10, 3)
+    fs = normalize_vertex_function(rng.normal(size=(100, 10)) + 1j * rng.normal(size=(100, 10)))
+    assert _coarea_violations(g, fs, DEFAULT_BUDGET) == exact_coarea_violations(g, fs) == 0
+    # at 0.5, some trials hold and some do not
+    monkeypatch.setattr(magneto.functional, "_sobolev_factor", lambda _: 0.5)
+    count = _coarea_violations(g, fs, DEFAULT_BUDGET)
+    assert 0 < count < 100 and count == exact_coarea_violations(g, fs)
 
 
 def test_stacked_norms_and_checks_equal_the_per_function_calls():

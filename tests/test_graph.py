@@ -246,3 +246,17 @@ def test_components_match_the_dfs_oracle(case):
         found[r].append(tuple(np.flatnonzero(comp).tolist()))
     assert [tuple(c) for c in found] == [dfs_components(g, m) for m in masks]
     assert [g.components_of(m) for m in masks] == [dfs_components(g, m) for m in masks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graphs_and_sets())
+def test_adding_a_vertex_never_lowers_size_minus_components(case):
+    # a vertex that joins d components of S adds d to |S| - c(S): the budget
+    # check that passes on a set passes on each of its subsets
+    g, masks = case
+    members = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(g.n)) & 1 == 1
+    grown = members[:, None, :] | np.eye(g.n, dtype=bool)  # grown[r, v] = S_r + v
+    rows = np.concatenate([members, grown.reshape(len(masks) * g.n, g.n)])
+    owner = g.components(rows)[0]
+    rank = rows.sum(axis=1) - np.bincount(owner, minlength=len(rows))
+    assert np.all(rank[len(masks):].reshape(len(masks), g.n) >= rank[:len(masks), None])

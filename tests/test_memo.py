@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 import magneto.frustration
+import magneto.functional
 import magneto.isoperimetry
 import magneto.spectral
 from conftest import random_graph, random_unbalanced_graph
 from magneto import (
     MagnetoError,
+    SwitchingAssignment,
     cheeger_constant,
     eigenvalue_lower_bound_check,
     frustration_exact,
@@ -28,9 +30,11 @@ from magneto import (
     graph_from_json,
     heat_kernel_properties_check,
     isoperimetric_constant,
+    normalize_vertex_function,
     spectral_data,
 )
-from magneto.cli import main
+from magneto.cli import _coarea_violations, main
+from magneto.frustration import DEFAULT_BUDGET
 from magneto.graph import MagneticGraph
 
 
@@ -54,16 +58,35 @@ def test_verify_all_solves_each_subset_once(tmp_path, monkeypatch):
 
 
 def test_coarea_suite_solves_and_keeps_nothing(tmp_path, monkeypatch):
-    # its level sets of n = 10, k = 3 fit the value-only kernel
+    # the tau = 1 bound certifies every random trial on an n = 10, k = 3
+    # graph, so no level set is solved. On a balanced graph switched by tau,
+    # f = tau has gradient 0 but a positive bound: that block is not
+    # certified, and its level sets go to the value-only kernel
     g = random_graph(np.random.default_rng(11), 10, 3)
     path = tmp_path / "g.json"
     path.write_text(g.to_json())
-    solves = []
-    monkeypatch.setattr(magneto.frustration, "_solve_exact", lambda *a: solves.append(a))
+    calls = []
+    values = magneto.frustration._frustration_values
+
+    def counted(*args):
+        calls.append(args)
+        return values(*args)
+
+    for module in (magneto.frustration, magneto.functional):
+        monkeypatch.setattr(module, "_frustration_values", counted)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["verify", str(path), "--suite", "coarea", "--trials", "20"])
     assert code == 0
-    assert not solves
+    assert not calls
+    rng = np.random.default_rng(5)
+    tau = SwitchingAssignment.from_exponents(range(10), rng.integers(0, 3, size=10), 3)
+    switched = random_graph(rng, 10, 3, force_trivial_signature=True).switch(tau)
+    fs = np.array([tau[u].value() for u in range(10)]) * np.ones((4, 10))
+    fs[1:] *= rng.uniform(0.1, 1.0, size=(3, 10))
+    assert _coarea_violations(switched, normalize_vertex_function(fs), DEFAULT_BUDGET) == 0
+    assert len(calls) == 1 and calls[0][0] is switched
+    # graph-wide entries only (the edge tables): no key per mask
+    assert all(isinstance(key, str) for key in switched._memo)
 
 
 def test_memoized_results_match_a_fresh_graph():
@@ -208,6 +231,18 @@ def test_domination_suite_solves_each_heat_kernel_once(tmp_path, monkeypatch):
     assert len(spectra) == 2
     assert sorted((t, id(sd)) for t, sd in kernels) == sorted(
         (t, sd) for t in (0.1, 1.0, 10.0) for sd in spectra)
+
+
+def test_domination_suite_solves_each_laplacian_once_per_call(tmp_path, monkeypatch):
+    # 20000 trials at n = 10 are 4 blocks of at most 2^16 entries
+    g = random_graph(np.random.default_rng(11), 10, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    solves = counted_eigendecompositions(monkeypatch)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path), "--suite", "domination", "--trials", "20000"])
+    assert code == 0
+    assert len(solves) == 2  # signed and unsigned
 
 
 def test_heat_kernel_check_solves_each_laplacian_once(monkeypatch):
