@@ -4,7 +4,6 @@ from .errors import MagnetoError
 from .groups import CIRCLE, CYCLIC, GroupElement
 from .graph import (
     MagneticGraph,
-    SwitchingAssignment,
     build_graph,
     cartesian_product,
     cartesian_product_many,

@@ -29,7 +29,7 @@ from .frustration import (
     frustration_heuristic,
 )
 from .graph import MagneticGraph, cartesian_product_many, graph_from_json
-from .groups import CYCLIC, GroupElement
+from .groups import GroupElement
 
 
 def _budget() -> int:
@@ -63,14 +63,6 @@ def _random_fs(seed: int, trials: int, n: int):
         yield draws[:, 0] + 1j * draws[:, 1]
 
 
-def _tau_digest(tau) -> dict:
-    out = {}
-    for u in sorted(tau.values):
-        g = tau[u]
-        out[str(u)] = g.exponent if g.kind == CYCLIC else g.angle
-    return out
-
-
 def cmd_frustration(args):
     g = _load_graph(args.graph)
     try:
@@ -81,11 +73,12 @@ def cmd_frustration(args):
         res = frustration_heuristic(g, subset, restarts=args.restarts, seed=args.seed)
     else:
         res = frustration_exact(g, subset, budget=_budget())
+    tau = res.minimizer.tolist()
     return {
         "value": res.value,
         "exact": res.exact,
         "evaluations": res.evaluations,
-        "minimizer": _tau_digest(res.minimizer),
+        "minimizer": {str(u): tau[u] for u in g.mask_vertices(subset)},
     }, "OK"
 
 

@@ -1,5 +1,10 @@
 """Frustration index: the l1 gauge-optimization problem over switchings.
 
+A switching is an array over the vertices, as ``MagneticGraph.switch`` takes
+it; a result's ``minimizer`` on a subset S is one, read-only, that holds 0
+(the identity) outside S: int64 exponents for the exact solver and the
+heuristic over S^1_k, angles in [0, 2pi) for the heuristic over S^1.
+
 One exact kernel, ``_eliminate``, serves ``frustration_exact`` and the
 value-only ``_frustration_values``: min-sum variable elimination over the
 exponents. Each set pins its first vertex to 1, which leaves the cost
@@ -23,14 +28,15 @@ which costs every switching at least its least weight times |1 - sigma(C)|.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MagnetoError
-from .graph import MagneticGraph, SwitchingAssignment
-from .groups import CIRCLE, CYCLIC, GroupElement
+from .graph import MagneticGraph, _tree_spread
+from .groups import CIRCLE, CYCLIC, TWO_PI, GroupElement
 
 DEFAULT_BUDGET = 10**7
 _CHUNK = 1 << 15
@@ -41,7 +47,7 @@ _MAX_SWEEPS = 500
 @dataclass(frozen=True)
 class FrustrationResult:
     value: float
-    minimizer: SwitchingAssignment
+    minimizer: np.ndarray  # read-only switching on the subset, 0 outside it
     exact: bool
     evaluations: int
 
@@ -51,21 +57,21 @@ def frustration_cycle_oracle(sigma: GroupElement) -> float:
     return sigma.dist_to_one()
 
 
-def l1_switch_cost(g: MagneticGraph, subset, tau: SwitchingAssignment) -> float:
-    """Sum over induced edges of w_uv * |tau(u) - s_uv tau(v)|."""
+def l1_switch_cost(g: MagneticGraph, subset, tau) -> float:
+    """Sum over induced edges, in storage order, of w_uv * |tau(u) - s_uv tau(v)|,
+    for a switching ``tau`` as ``MagneticGraph.switch`` takes it."""
     mask = g.as_mask(subset)
-    g._check_tau_group(tau)
+    tau, sig, w = g._switching(tau).tolist(), g.sig.tolist(), g.ew.tolist()
     total = 0.0
-    for idx in g.induced_edge_indices(mask):
+    for idx in g.induced_edge_indices(mask).tolist():
         u, v = int(g.eu[idx]), int(g.ev[idx])
-        s = g.signature_element(int(idx))
         if g.group_kind == CYCLIC:
             # |xi^a - xi^(s+b)| = 2 sin(pi ((a-b-s) mod k)/k), exact
-            d = (tau[u].exponent - tau[v].exponent - s.exponent) % g.group_order
+            d = (tau[u] - tau[v] - sig[idx]) % g.group_order
             term = 2.0 * math.sin(math.pi * d / g.group_order)
         else:
-            term = abs(tau[u].value() - s.value() * tau[v].value())
-        total += float(g.ew[idx]) * term
+            term = abs(cmath.exp(1j * tau[u]) - cmath.exp(1j * sig[idx]) * cmath.exp(1j * tau[v]))
+        total += w[idx] * term
     return total
 
 
@@ -239,9 +245,8 @@ def _solve_exact(g: MagneticGraph, comps: np.ndarray) -> FrustrationResult:
             local[axes[0]] = int(np.argmin(cost[(0, slice(None)) + tuple(local[a] for a in axes[1:])]))
         exps[comp] = local
         evaluations += k ** (len(local) - 1)
-    verts = np.flatnonzero(comps.any(axis=0)).tolist()
-    tau = SwitchingAssignment.from_exponents(verts, exps[verts], k)
-    return FrustrationResult(total, tau, True, evaluations)
+    exps.flags.writeable = False
+    return FrustrationResult(total, exps, True, evaluations)
 
 
 def _incidence(g: MagneticGraph, comp: np.ndarray) -> tuple:
@@ -324,18 +329,11 @@ def _heuristic_cyclic(g, edges, incident, restarts, rng):
 def _balanced_exponents(g, edges, m):
     """Exponents, local vertex 0 at 0, that make every edge of a connected
     component of m vertices cost 0, or None if no switching does (the
-    component is not balanced): a breadth-first spread from vertex 0 fixes
-    them, and every edge must agree."""
-    k = g.group_order
+    component is not balanced): the spanning-tree spread of
+    ``MagneticGraph.is_balanced``."""
     lu, lv, e = edges
-    sig = g.sig[e]
-    exps = np.full(m, -1)
-    exps[0] = 0
-    while (exps < 0).any():  # edge (u, v) costs 0 when a_u = a_v + s_uv
-        for a, b, step in ((lu, lv, -sig), (lv, lu, sig)):
-            new = (exps[a] >= 0) & (exps[b] < 0)
-            exps[b[new]] = (exps[a[new]] + step[new]) % k
-    return exps if np.all((exps[lu] - exps[lv] - sig) % k == 0) else None
+    exps, _, bad = _tree_spread(m, lu, lv, g.sig[e], g.group_order)
+    return None if len(bad) else exps
 
 
 def _heuristic_circle(g, edges, incident, restarts, rng):
@@ -385,14 +383,14 @@ def frustration_heuristic(
     def solve():
         solved = []
         value = float(_heuristic_values(g, g.indicator(mask)[None], restarts, seed, solved)[0])
-        found = np.zeros(g.n, dtype=np.int64 if g.group_kind == CYCLIC else float)
+        found = np.zeros(g.n, dtype=g.sig.dtype)
         for comp, local in solved:
             found[comp] = local
-        verts = g.mask_vertices(mask)
-        tau = (SwitchingAssignment.from_exponents(verts, found[verts], g.group_order)
-               if g.group_kind == CYCLIC else SwitchingAssignment.from_angles(verts, found[verts]))
+        if g.group_kind == CIRCLE:
+            found %= TWO_PI  # the descent's np.remainder can round an angle up to 2pi
+        found.flags.writeable = False
         evaluations = max(1, restarts) * sum(len(local) for _, local in solved)
-        return FrustrationResult(value, tau, False, evaluations)
+        return FrustrationResult(value, found, False, evaluations)
 
     return g.memo(("frustration_heuristic", mask, restarts, seed), solve)
 

@@ -22,6 +22,7 @@ from .isoperimetry import isoperimetric_constant
 
 _SAT_TOL = 1e-9
 _DISK_TOL = 1e-12
+_BERNOULLI_TOL = 1e-12
 
 
 def _check_t(t: float) -> None:
@@ -299,10 +300,10 @@ def extremal_certificate(
     """
     res = isoperimetric_constant(g, delta, budget=budget, **kw)
     subset = res.argmin.subset
-    fr = frustration_exact(g, subset, budget=budget)
+    tau = frustration_exact(g, subset, budget=budget).minimizer
     f = np.zeros(g.n, dtype=complex)
     for u in subset:
-        f[u] = fr.minimizer[u].value()
+        f[u] = cmath.exp(2j * math.pi * int(tau[u]) / g.group_order)
     return f
 
 
@@ -356,12 +357,12 @@ def complex_power(z: complex, alpha: float) -> complex:
     return z * abs(z) ** (alpha - 1.0)
 
 
-def bernoulli_check(z1: complex, z2: complex, alpha: float, tol: float = 1e-12) -> bool:
-    """|z1^a - z2^a| <= a |z1 - z2| (|z1|^{a-1} + |z2|^{a-1})."""
-    return bool(bernoulli_check_batch([z1], [z2], alpha, tol)[0])
+def bernoulli_check(z1: complex, z2: complex, alpha: float) -> bool:
+    """|z1^a - z2^a| <= a |z1 - z2| (|z1|^{a-1} + |z2|^{a-1}), within _BERNOULLI_TOL."""
+    return bool(bernoulli_check_batch([z1], [z2], alpha)[0])
 
 
-def bernoulli_check_batch(z1, z2, alpha: float, tol: float = 1e-12) -> np.ndarray:
+def bernoulli_check_batch(z1, z2, alpha: float) -> np.ndarray:
     if not alpha >= 1.0:
         raise MagnetoError("BAD_ALPHA", f"alpha must be >= 1, got {alpha}")
     z1 = np.asarray(z1, dtype=complex)
@@ -371,4 +372,4 @@ def bernoulli_check_batch(z1, z2, alpha: float, tol: float = 1e-12) -> np.ndarra
     p2 = np.where(r2 > 0, z2 * r2 ** (alpha - 1.0), 0)
     lhs = np.abs(p1 - p2)
     rhs = alpha * np.abs(z1 - z2) * (r1 ** (alpha - 1.0) + r2 ** (alpha - 1.0))
-    return lhs <= rhs + tol
+    return lhs <= rhs + _BERNOULLI_TOL

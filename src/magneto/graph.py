@@ -4,13 +4,18 @@ Vertices are dense integers 0..n-1 and vertex subsets are int bitmasks of
 any width, which keeps exhaustive subset enumeration cheap. Graphs are
 immutable after construction (their arrays are read-only); ``switch`` and
 ``cartesian_product`` return new graphs.
+
+A switching tau is a numpy array of length n in the convention of the
+signature array ``sig``: int64 exponents mod k for S^1_k, float angles for
+S^1. ``is_balanced`` gives one, or a frustrated cycle, from one breadth-first
+spread over a spanning forest, ``_tree_spread``, which the frustration
+heuristic's balanced shortcut also runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -18,32 +23,6 @@ import numpy as np
 
 from .errors import MagnetoError
 from .groups import ANGLE_TOL, CIRCLE, CYCLIC, TWO_PI, GroupElement
-
-
-@dataclass(frozen=True)
-class SwitchingAssignment:
-    """Gauge variable tau: a group element per vertex of its domain."""
-
-    values: dict  # vertex id -> GroupElement
-
-    def domain_mask(self) -> int:
-        m = 0
-        for u in self.values:
-            m |= 1 << u
-        return m
-
-    def __getitem__(self, u: int) -> GroupElement:
-        return self.values[u]
-
-    @staticmethod
-    def from_exponents(vertices: Sequence[int], exponents: Sequence[int], order: int) -> "SwitchingAssignment":
-        return SwitchingAssignment(
-            {u: GroupElement.cyclic(int(e), order) for u, e in zip(vertices, exponents)}
-        )
-
-    @staticmethod
-    def from_angles(vertices: Sequence[int], angles: Sequence[float]) -> "SwitchingAssignment":
-        return SwitchingAssignment({u: GroupElement.circle(float(a)) for u, a in zip(vertices, angles)})
 
 
 class MagneticGraph:
@@ -211,24 +190,27 @@ class MagneticGraph:
 
     # -- gauge transformations ----------------------------------------------
 
-    def _check_tau_group(self, tau: SwitchingAssignment) -> None:
-        for g in tau.values.values():
-            if g.kind != self.group_kind or (
-                self.group_kind == CYCLIC and g.order != self.group_order
-            ):
-                raise MagnetoError("WRONG_GROUP", "switching values not in the graph's group")
+    def _switching(self, tau) -> np.ndarray:
+        """A switching from a caller, checked and reduced: a value per vertex in
+        the signature's convention, integer exponents mod k or finite angles,
+        returned mod k or mod 2pi."""
+        tau = np.asarray(tau)
+        if tau.shape != (self.n,):
+            raise MagnetoError("INCOMPLETE_ASSIGNMENT",
+                               f"tau must have one value per vertex, {self.n}, got shape {tau.shape}")
+        # an empty list comes as floats, yet holds no value outside the group
+        if tau.size and tau.dtype.kind not in ("iu" if self.group_kind == CYCLIC else "iuf"):
+            raise MagnetoError("WRONG_GROUP", f"switching values of dtype {tau.dtype} "
+                               "are not in the graph's group")
+        if not np.all(np.isfinite(tau)):
+            raise MagnetoError("NONFINITE_ANGLE", "switching angles must be finite")
+        return tau.astype(self.sig.dtype) % (self.group_order or TWO_PI)
 
-    def switch(self, tau: SwitchingAssignment) -> "MagneticGraph":
-        """New graph with s^tau(u,v) = tau(u) s(u,v) tau(v)^{-1}."""
-        if tau.domain_mask() != self.full_mask():
-            raise MagnetoError("INCOMPLETE_ASSIGNMENT", "tau must be defined on every vertex")
-        self._check_tau_group(tau)
-        if self.group_kind == CYCLIC:
-            tu = np.array([tau[u].exponent for u in range(self.n)], dtype=np.int64)
-            sig = (tu[self.eu] + self.sig - tu[self.ev]) % self.group_order
-        else:
-            tu = np.array([tau[u].angle for u in range(self.n)])
-            sig = (tu[self.eu] + self.sig - tu[self.ev]) % TWO_PI
+    def switch(self, tau) -> "MagneticGraph":
+        """New graph with s^tau(u,v) = tau(u) s(u,v) tau(v)^{-1}, for a switching
+        tau as the module docstring gives it, checked by ``_switching``."""
+        tau = self._switching(tau)
+        sig = (tau[self.eu] + self.sig - tau[self.ev]) % (self.group_order or TWO_PI)
         return MagneticGraph(
             self.n, self.eu, self.ev, self.ew, self.group_kind, self.group_order, sig, self.mu
         )
@@ -254,56 +236,30 @@ class MagneticGraph:
             total = total * self.signature_element(idx, reverse=rev)
         return total
 
-    def is_balanced(self, tol: float = ANGLE_TOL):
-        """Spanning-forest gauge test.
+    def is_balanced(self):
+        """Spanning-forest gauge test, by ``_tree_spread``.
 
-        Returns ``(True, tau)`` with a trivializing switching function, or
-        ``(False, cycle)`` with one fundamental cycle of nontrivial signature.
+        Returns ``(True, tau)`` with the switching that makes every edge cost
+        0 in ``l1_switch_cost``, each component's least vertex at 0 (so
+        ``switch(-tau)`` makes every signature 1), or ``(False, cycle)`` with
+        the fundamental cycle of the first edge, in storage order, that it
+        does not make cost 0; that cycle's signature is not 1.
         """
-        adj = self.adjacency()
-        order = self.group_order or 1
-        tau = {}
-        parent = {}
-        for root in range(self.n):
-            if root in tau:
-                continue
-            tau[root] = GroupElement.identity(self.group_kind, order)
-            parent[root] = None
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v, idx, stored in adj[u]:
-                    if v in tau:
-                        continue
-                    # trivialize tree edge: tau(v) = tau(u) * s_{uv}
-                    tau[v] = tau[u] * self.signature_element(idx, reverse=not stored)
-                    parent[v] = u
-                    stack.append(v)
-        # non-tree edges must be trivial after switching
-        for idx in range(self.m):
-            u, v = int(self.eu[idx]), int(self.ev[idx])
-            if parent.get(v) == u or parent.get(u) == v:
-                continue
-            s_t = tau[u] * self.signature_element(idx) * tau[v].inverse()
-            if not s_t.is_identity(tol):
-                return False, self._fundamental_cycle(u, v, parent)
-        full = SwitchingAssignment({u: tau[u].inverse() for u in range(self.n)})
-        return True, full
-
-    def _fundamental_cycle(self, u: int, v: int, parent) -> list:
-        anc_u = []
-        a = u
-        while a is not None:
-            anc_u.append(a)
-            a = parent.get(a)
+        tau, up, bad = _tree_spread(self.n, self.eu, self.ev, self.sig, self.group_order or TWO_PI)
+        if not len(bad):
+            return True, tau
+        u, v, up = int(self.eu[bad[0]]), int(self.ev[bad[0]]), up.tolist()
+        anc_u = [u]
+        while up[anc_u[-1]] >= 0:
+            anc_u.append(up[anc_u[-1]])
         pos = {x: i for i, x in enumerate(anc_u)}
         path_v = []
         b = v
         while b not in pos:
             path_v.append(b)
-            b = parent.get(b)
+            b = up[b]
         # u -> ... -> common ancestor -> ... -> v, closed by the edge (v, u)
-        return anc_u[: pos[b] + 1] + list(reversed(path_v))
+        return False, anc_u[: pos[b] + 1] + path_v[::-1]
 
     # -- serialization ------------------------------------------------------
 
@@ -322,6 +278,41 @@ class MagneticGraph:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
+
+
+def _tree_spread(n: int, eu, ev, sig, modulus) -> tuple:
+    """(tau, up, bad) of the graph on vertices 0..n-1 with edges (eu[i], ev[i])
+    and signatures sig[i], integer exponents mod an integer ``modulus`` k or
+    angles mod 2pi.
+
+    Each component is rooted at its least vertex, at 0, and a breadth-first
+    spread gives each vertex v it reaches along an edge (u, v) the value tau(v)
+    = tau(u) - s_uv, so that the edge costs 0: tau(u) = s_uv tau(v). up[v] is
+    the vertex it was reached from, -1 at a root. bad lists, in storage order,
+    the edges whose tau(u) - tau(v) - s_uv is not 0 mod ``modulus``: exactly for
+    exponents, beyond ANGLE_TOL for angles. The tree fixes tau, so the graph is
+    balanced exactly when bad is empty.
+    """
+    src, dst = np.concatenate((eu, ev)), np.concatenate((ev, eu))
+    step = np.concatenate((-sig, sig))
+    tau = np.zeros(n, dtype=sig.dtype)
+    via = np.full(n, -1)  # the arc, an index into src and dst, that reached each vertex
+    reached = np.zeros(n, dtype=bool)
+    for root in range(n):
+        if reached[root]:
+            continue
+        reached[root] = True
+        while len(new := np.flatnonzero(reached[src] & ~reached[dst])):
+            v = dst[new]
+            via[v] = new
+            arc = via[v]  # one arc per new vertex: the one stored, read back
+            tau[v] = (tau[src[arc]] + step[arc]) % modulus
+            reached[v] = True
+    tau %= modulus  # np.remainder rounds a tiny negative angle up to 2pi itself
+    d = (tau[eu] - tau[ev] - sig) % modulus
+    # min(d, k - d) of an exponent is 0 or at least 1
+    bad = np.flatnonzero(np.minimum(d, modulus - d) > ANGLE_TOL)
+    return tau, np.append(src, -1)[via], bad  # a root's via, -1, reads the -1
 
 
 def build_graph(n: int, edges: Iterable, measure=None) -> MagneticGraph:

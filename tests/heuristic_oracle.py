@@ -5,7 +5,7 @@
 arrays: per restart, a Python loop over vertices and sweeps, and a generator
 sum for the cost. ``heuristic_frustration`` drives it over the components of
 a subset the way ``frustration_heuristic`` does, with one rng shared by the
-components in order. A component that ``MagneticGraph.is_balanced`` finds
+components in order. A component that ``balance_oracle.dfs_balance`` finds
 balanced, as a graph of its own, takes its trivializing switching at cost 0
 instead of the descent, after the draws the descent would have made.
 """
@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from balance_oracle import dfs_balance
 from frustration_oracle import _local_edges
 from magneto import build_graph
 
@@ -77,9 +78,9 @@ def heuristic_frustration(g, mask, restarts, seed):
         if len(comp) == 1 or not edges:
             assignment[comp[0]] = 0
             continue
-        balanced, tau = build_graph(len(comp), [
+        balanced, tau = dfs_balance(build_graph(len(comp), [
             (lu, lv, float(g.ew[e]), g.signature_element(e)) for lu, lv, e in edges
-        ]).is_balanced()
+        ]))
         if balanced:
             for _ in range(1, max(1, restarts)):
                 rng.integers(0, g.group_order, size=len(comp))

@@ -45,7 +45,6 @@ from magneto.functional import (
     key_average_circle_batch,
     key_average_cyclic_batch,
 )
-from magneto.graph import SwitchingAssignment
 
 N_RANGE = range(3, 9)
 K_CHOICES = (2, 3, 4, 6)
@@ -116,7 +115,7 @@ def test_criterion_03_variational_sandwich():
         h = 2.0 * abs(math.sin(flux / 2.0)) / n
         heur = frustration_heuristic(g, g.full_mask(), restarts=8, seed=i)
         assert heur.value <= 2.0 * abs(math.sin(flux / 2.0)) + 1e-9
-        warm = np.array([heur.minimizer[u].value() for u in range(n)])
+        warm = np.exp(1j * heur.minimizer)
         _, best = quotient_infimum_search(
             g, p=1.0, q=1.0, budget=200, seed=i, warm_start=warm
         )
@@ -212,9 +211,7 @@ def test_criterion_09_spectral_envelope():
                          force_trivial_signature=(i % 4 == 0))
         lam = sorted_eigs(g)
         assert lam[0] >= -1e-9 and lam[-1] <= 2.0 * g.max_mu_degree() + 1e-9
-        tau = SwitchingAssignment.from_exponents(
-            range(g.n), rng.integers(0, g.group_order, g.n), g.group_order
-        )
+        tau = rng.integers(0, g.group_order, g.n)
         assert np.allclose(lam, sorted_eigs(g.switch(tau)), atol=1e-9)
         balanced, _ = g.is_balanced()
         assert (lam[0] < 1e-9) == balanced, i

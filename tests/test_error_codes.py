@@ -18,6 +18,7 @@ from magneto import (
     heat_kernel,
     heat_kernel_properties_check,
     isoperimetric_constant,
+    l1_switch_cost,
     positivity_check,
     radial_function,
     sector_function,
@@ -27,6 +28,7 @@ from magneto.cli import main
 
 EMPTY = build_graph(0, [])
 CYCLE = cycle_graph(4, 2, 1)
+RING = circle_cycle(3, [0.1, 0.2, 0.3])
 
 # code -> {name: call}; a case's test id is "<code>-<name>", so an entry added
 # anywhere renames no other test. New entries take a descriptive name; the
@@ -46,6 +48,18 @@ CASES = {
     "BAD_SIGNATURE": {"<lambda>": lambda: build_graph(2, [(0, 1, 1.0, 1)])},
     "BAD_SIZE": {"<lambda>": lambda: build_graph(-1, [])},
     "BAD_SUBSET": {"<lambda>": lambda: CYCLE.as_mask([CYCLE.n])},
+    "INCOMPLETE_ASSIGNMENT": {
+        # tau names vertices 0 and 1 only; the subset holds all four
+        "l1_switch_cost tau shorter than n": lambda: l1_switch_cost(
+            cycle_graph(4, 3, 1), 0b1111, np.array([0, 0])),
+    },
+    "NONFINITE_ANGLE": {
+        "switch nan angle": lambda: RING.switch([0.0, math.nan, 0.0]),
+        "l1_switch_cost inf angle": lambda: l1_switch_cost(RING, 0b111, [0.0, 0.0, math.inf]),
+    },
+    "WRONG_GROUP": {
+        "l1_switch_cost angles on a cyclic graph": lambda: l1_switch_cost(CYCLE, 0b1111, np.zeros(4)),
+    },
     "BAD_T": {
         "<lambda>0": lambda: sector_function(0.5, 0.0, 0.0, 4),
         "<lambda>1": lambda: sector_function(0.5, 1.5, 0.0, 4),
@@ -53,7 +67,7 @@ CASES = {
         "<lambda>3": lambda: radial_function(0.5, math.nan),
     },
     "MIXED_GROUPS": {
-        "<lambda>": lambda: cartesian_product(CYCLE, circle_cycle(3, [0.1, 0.2, 0.3])),
+        "<lambda>": lambda: cartesian_product(CYCLE, RING),
     },
     "NEGATIVE_TIME": {
         "<lambda>0": lambda: heat_kernel(CYCLE, -0.5),
@@ -81,9 +95,13 @@ def test_library_raises_the_code(code, call):
     assert err.value.code == code
 
 
-@pytest.mark.parametrize("command", [["cheeger"], ["cheeger", "--heuristic"],
-                                     ["isoperimetric", "--delta", "3"],
-                                     ["isoperimetric", "--delta", "inf"], ["spectrum"]])
+@pytest.mark.parametrize("command", [
+    pytest.param(["cheeger"], id="cheeger"),
+    pytest.param(["cheeger", "--heuristic"], id="cheeger-heuristic"),
+    pytest.param(["isoperimetric", "--delta", "3"], id="isoperimetric-delta-3"),
+    pytest.param(["isoperimetric", "--delta", "inf"], id="isoperimetric-delta-inf"),
+    pytest.param(["spectrum"], id="spectrum"),
+])
 def test_commands_report_an_empty_graph(tmp_path, command):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "edges": []}')

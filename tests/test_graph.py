@@ -3,20 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from balance_oracle import dfs_balance
 from components_oracle import dfs_components
 from conftest import circle_cycle, cycle_graph, k2_graph, random_graph
 from magneto import (
     GroupElement,
     MagnetoError,
-    SwitchingAssignment,
     build_graph,
     cartesian_product,
     cartesian_product_many,
     graph_from_json,
+    l1_switch_cost,
 )
+from magneto.groups import ANGLE_TOL, TWO_PI
 
 ONE2 = GroupElement.identity("cyclic", 2)
 MINUS = GroupElement.cyclic(1, 2)
@@ -96,9 +98,8 @@ def test_subset_measures_beyond_64_vertices():
 def test_switch_composes_like_the_group_action():
     rng = np.random.default_rng(7)
     g = random_graph(rng, 6, 4)
-    t1 = SwitchingAssignment.from_exponents(range(6), rng.integers(0, 4, 6), 4)
-    t2 = SwitchingAssignment.from_exponents(range(6), rng.integers(0, 4, 6), 4)
-    combined = SwitchingAssignment({u: t2[u] * t1[u] for u in range(6)})
+    t1, t2 = rng.integers(0, 4, 6), rng.integers(0, 4, 6)
+    combined = t1 + t2  # the exponents of t2(u) t1(u)
     a = g.switch(t1).switch(t2)
     b = g.switch(combined)
     assert np.array_equal(a.sig, b.sig)
@@ -106,29 +107,27 @@ def test_switch_composes_like_the_group_action():
 
 def test_switch_requires_full_domain_and_matching_group():
     g = cycle_graph(3, 2, 1)
-    partial = SwitchingAssignment.from_exponents([0, 1], [0, 1], 2)
     with pytest.raises(MagnetoError) as err:
-        g.switch(partial)
+        g.switch([0, 1])
     assert err.value.code == "INCOMPLETE_ASSIGNMENT"
-    wrong = SwitchingAssignment.from_exponents([0, 1, 2], [0, 0, 0], 3)
     with pytest.raises(MagnetoError) as err:
-        g.switch(wrong)
+        g.switch([0.0, 0.5, 1.0])  # angles on a cyclic graph
     assert err.value.code == "WRONG_GROUP"
+    assert build_graph(0, []).switch([]).n == 0  # numpy reads [] as floats
 
 
 def test_switch_on_a_circle_graph():
     # s^tau(u, v) = tau(u) s(u, v) tau(v)^{-1}; cycle signatures stay
     g = circle_cycle(4, [0.3, 1.1, 2.0, 0.0])
     angles = [0.5, 2.0, 4.0, 6.0]
-    switched = g.switch(SwitchingAssignment.from_angles(range(4), angles))
+    switched = g.switch(angles)
     assert switched.group_kind == "circle"
     for idx in range(g.m):
         u, v = int(g.eu[idx]), int(g.ev[idx])
         want = GroupElement.circle(angles[u] + g.sig[idx] - angles[v])
         assert switched.signature_element(idx).isclose(want)
     assert switched.cycle_signature([0, 1, 2, 3]).isclose(g.cycle_signature([0, 1, 2, 3]))
-    identity = SwitchingAssignment({u: GroupElement.identity("circle") for u in range(4)})
-    assert np.array_equal(g.switch(identity).sig, g.sig)
+    assert np.array_equal(g.switch(np.zeros(4)).sig, g.sig)
 
 
 def test_cycle_signature_invariant_under_switching():
@@ -136,7 +135,7 @@ def test_cycle_signature_invariant_under_switching():
     g = cycle_graph(5, 6, 4)
     cyc = list(range(5))
     before = g.cycle_signature(cyc)
-    tau = SwitchingAssignment.from_exponents(range(5), rng.integers(0, 6, 5), 6)
+    tau = rng.integers(0, 6, 5)
     after = g.switch(tau).cycle_signature(cyc)
     assert before.isclose(after)
     assert before.exponent == 4
@@ -260,3 +259,53 @@ def test_adding_a_vertex_never_lowers_size_minus_components(case):
     owner = g.components(rows)[0]
     rank = rows.sum(axis=1) - np.bincount(owner, minlength=len(rows))
     assert np.all(rank[len(masks):].reshape(len(masks), g.n) >= rank[:len(masks), None])
+
+
+@st.composite
+def balance_cases(draw):
+    """A graph on 0 to 8 vertices, often disconnected with isolated vertices,
+    over S^1_k or S^1. Its signatures are drawn, or are potential differences
+    p(u) - p(v) (balanced), one edge perhaps changed. An angle is a multiple
+    of 2pi / 2^16, so a cycle's signature is 1 up to rounding or lies far
+    beyond ANGLE_TOL from it, and no verdict sits at the tolerance."""
+    n = draw(st.integers(0, 8))
+    pairs = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                .filter(lambda p: p[0] < p[1]), max_size=2 * n))) if n > 1 else []
+    k = draw(st.sampled_from([None, 1, 2, 3, 5]))  # None: the circle group
+    steps = k or 1 << 16
+    value = st.integers(0, steps - 1)
+    if draw(st.booleans()):
+        pot = draw(st.lists(value, min_size=n, max_size=n))
+        exps = [pot[u] - pot[v] for u, v in pairs]
+        if pairs and draw(st.booleans()):
+            exps[draw(st.integers(0, len(pairs) - 1))] += draw(value)
+    else:
+        exps = draw(st.lists(value, min_size=len(pairs), max_size=len(pairs)))
+    sig = [GroupElement.cyclic(e, k) if k else GroupElement.circle(e * TWO_PI / steps)
+           for e in exps]
+    return build_graph(n, [(u, v, 1.0, s) for (u, v), s in zip(pairs, sig)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=balance_cases())
+@example(g=build_graph(0, []))
+@example(g=build_graph(3, []))
+@example(g=build_graph(2, [(0, 1, 1.0, GroupElement.circle(1e-17))]))  # -1e-17 mod 2pi rounds to 2pi
+def test_balance_matches_the_dfs_oracle(g):
+    balanced, found = g.is_balanced()
+    want, oracle = dfs_balance(g)
+    assert balanced == want
+    if not balanced:
+        # a closed walk of distinct edges (cycle_signature checks it) that is frustrated
+        assert not g.cycle_signature(found).is_identity()
+        return
+    roots = [comp[0] for comp in g.components_of(g.full_mask())]
+    assert found.shape == (g.n,) and found[roots].tolist() == [0] * len(roots)
+    if g.group_kind == "cyclic":
+        assert found.dtype == np.int64
+        assert found.tolist() == [t.exponent for t in oracle]
+        assert l1_switch_cost(g, g.full_mask(), found) == 0.0
+    else:
+        assert found.dtype == np.float64 and np.all((0 <= found) & (found < TWO_PI))
+        d = (found[g.eu] - found[g.ev] - g.sig) % TWO_PI
+        assert np.all(np.minimum(d, TWO_PI - d) <= ANGLE_TOL)

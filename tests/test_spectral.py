@@ -14,7 +14,6 @@ from laplacian_oracle import loop_laplacian
 from spectral_oracle import domination_per_t, residual
 from magneto import (
     MagnetoError,
-    SwitchingAssignment,
     domination_check,
     eigendecomposition,
     eigenvalue_lower_bound_check,
@@ -126,7 +125,7 @@ def test_spectrum_switching_invariant():
     rng = np.random.default_rng(79)
     for _ in range(10):
         g = random_graph(rng, 6, 4)
-        tau = SwitchingAssignment.from_exponents(range(g.n), rng.integers(0, 4, g.n), 4)
+        tau = rng.integers(0, 4, g.n)
         assert np.allclose(sorted_eigs(g), sorted_eigs(g.switch(tau)), atol=1e-9)
 
 
@@ -180,9 +179,25 @@ def test_heat_kernel_properties():
     rng = np.random.default_rng(101)
     for _ in range(5):
         g = random_graph(rng, 6, 3)
-        for t in (0.1, 1.0, 10.0):
+        for t in (0.0, 1e-7, 0.1, 1.0, 10.0):
             rep = heat_kernel_properties_check(g, t, t / 2.0)
             assert rep["ok"], rep
+
+
+def test_heat_equation_is_checked_at_every_time(monkeypatch):
+    # an eigensolve with doubled eigenvalues keeps the semigroup law, but its
+    # kernels solve dK/dt = -2LK; the exact derivative sees that at any t > 0
+    g = random_graph(np.random.default_rng(107), 6, 3)
+    assert heat_kernel_properties_check(g, 1e-6, 0.0)["heat_equation"]
+    solve = magneto.spectral.eigendecomposition
+
+    def doubled(h):
+        sd = solve(h)
+        return magneto.spectral.SpectralData(2.0 * sd.eigenvalues, sd.eigenvectors)
+
+    monkeypatch.setattr(magneto.spectral, "eigendecomposition", doubled)
+    rep = heat_kernel_properties_check(g, 1e-6, 0.0)
+    assert rep["semigroup"] and rep["heat_equation"] is False
 
 
 def test_positivity_of_resolvent():
