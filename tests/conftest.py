@@ -97,6 +97,17 @@ def k3k4_union():
     return build_graph(7, edges)
 
 
+def circle_union(rng):
+    """A triangle and a 4-cycle, disjoint, on a permutation of 7 vertices
+    drawn from ``rng``, with weights from U(0.5, 2) and S^1 angles from
+    U(0, 2pi), drawn edge by edge after it."""
+    perm = rng.permutation(7).tolist()
+    ring = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    return build_graph(7, [(perm[u], perm[v], float(rng.uniform(0.5, 2.0)),
+                            GroupElement.circle(float(rng.uniform(0.0, 2.0 * math.pi))))
+                           for u, v in ring])
+
+
 def random_unbalanced_graph(rng, n_max=7, k_max=4):
     while True:
         n = int(rng.integers(3, n_max + 1))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import magneto.isoperimetry
 from conftest import (
     circle_cycle,
+    circle_union,
     cycle_graph,
     k2_graph,
     k3k4_union,
@@ -380,11 +381,7 @@ def heuristic_search_cases():
     """A random graph at k = 4, a disjoint union at k = 3, and a disjoint
     union of a triangle and a 4-cycle with S^1 signatures, relabelled."""
     rng = np.random.default_rng(23)
-    perm = rng.permutation(7).tolist()
-    ring = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
-    circle = build_graph(7, [(perm[u], perm[v], float(rng.uniform(0.5, 2.0)),
-                              GroupElement.circle(float(rng.uniform(0.0, 2.0 * math.pi))))
-                             for u, v in ring])
+    circle = circle_union(rng)
     return [random_graph(rng, 8, 4), k3k4_union(), circle]
 
 

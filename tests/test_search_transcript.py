@@ -1,12 +1,12 @@
 """The subset-search commands reproduce a recorded transcript.
 
-``search_transcript.json`` holds eleven fixed graphs (two unit cycles, one of
-them with a non-unit measure, a disconnected graph, a balanced graph, two
+``search_transcript.json`` holds thirteen fixed graphs (two unit cycles, one
+of them with a non-unit measure, a disconnected graph, a balanced graph, two
 random graphs, two copies of one weighted K4, the empty graph, the two
-disjoint unions of ``UNIONS`` and the S^1 graph ``circle5``) and the report
-of every command in ``COMMANDS`` on each cyclic nonempty one but the unions,
-of ``UNION_COMMANDS`` on the unions, of ``HEURISTIC_COMMANDS`` on every
-nonempty one, plus the error lines of ``ERRORS``. A report must match its
+disjoint unions of ``UNIONS`` and the three S^1 graphs of ``CIRCLES``) and
+the report of every command in ``COMMANDS`` on each cyclic nonempty one but
+the unions, of ``UNION_COMMANDS`` on the unions, of ``HEURISTIC_COMMANDS`` on
+every nonempty one, plus the error lines of ``ERRORS``. A report must match its
 record key for key as in ``tests/test_verify_transcript.py``; only the graph
 path of ``inputs`` is left out. The heuristic's ties do not depend on the
 BLAS build, so its searches are recorded as well; ``tests/heuristic_oracle.py``
@@ -21,10 +21,20 @@ import pathlib
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import math
+
 import numpy as np
 
-from conftest import assert_report_matches, cycle_graph, k3k4_union, k4_union, random_graph
-from magneto import GroupElement, build_graph, graph_from_json_dict
+from conftest import (
+    assert_report_matches,
+    circle_cycle,
+    circle_union,
+    cycle_graph,
+    k3k4_union,
+    k4_union,
+    random_graph,
+)
+from magneto import GroupElement, build_graph, cartesian_product, graph_from_json_dict
 from magneto.cli import main
 
 FIXTURE = pathlib.Path(__file__).with_name("search_transcript.json")
@@ -40,6 +50,8 @@ COMMANDS = (
 # k = 3: their disconnected subsets are valued one component at a time, in
 # every profile entry and wherever a union can win
 UNIONS = ("k4triangle", "k3k4")
+# the S^1 graphs, which only the heuristic commands can search
+CIRCLES = ("circle5", "circleunion", "circletorus")
 UNION_COMMANDS = (
     ["cheeger", "--profile"],
     ["isoperimetric", "--delta", "1.5"],
@@ -73,7 +85,7 @@ def _run(command, path):
 
 def _cases(names):
     """(graph, command) of each recorded run, in order."""
-    plain = [name for name in names if name not in (*UNIONS, "empty", "circle5")]
+    plain = [name for name in names if name not in (*UNIONS, *CIRCLES, "empty")]
     nonempty = [name for name in names if name != "empty"]
     return ([(name, c) for name in plain for c in COMMANDS]
             + [(name, c) for name in UNIONS for c in UNION_COMMANDS]
@@ -122,6 +134,11 @@ def _record(directory):
             + [(0, 2, 0.9, GroupElement.circle(2.5))],
             [1.0, 1.5, 0.5, 1.0, 2.0],
         ),
+        # a triangle and a 4-cycle, disjoint, so subsets with two components
+        "circleunion": circle_union(np.random.default_rng(23)),
+        # a unit c3 x c4 torus whose angles include multiples of pi/2, which tie
+        "circletorus": cartesian_product(circle_cycle(3, [0.0, math.pi / 2, 1.0]),
+                                         circle_cycle(4, [math.pi, 0.3, 0.0, 2.1])),
     }
     out = {"graphs": {name: json.loads(g.to_json()) for name, g in graphs.items()}, "runs": []}
     paths = {}
