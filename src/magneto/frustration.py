@@ -16,14 +16,17 @@ a set's values in component order, so they give the same float:
 arrays of its steps, and ``_frustration_values`` runs it on blocks of
 same-size components of many sets.
 ``frustration_heuristic`` and the value-only ``_heuristic_values`` run greedy
-coordinate descent, an upper bound only, exact (0) on the components that a
-spanning-tree test finds balanced. Its restarts are rows of arrays, in
-bounded blocks, that every sweep updates at once; each row's per-vertex step
-sums its local costs in a fixed order, so the ties that unit weights make,
-and the h_upper that perfbench checks on the c4 x c4 torus, do not depend on
-how a BLAS build rounds. ``frustrated_cycle_packing`` bounds the index
-from below: a greedy packing of edge-disjoint frustrated cycles, each of
-which costs every switching at least its least weight times |1 - sigma(C)|.
+coordinate descent, an upper bound only, exact (0) on the S^1_k components
+that a spanning-tree test finds balanced. One descent, ``_coordinate_descent``,
+serves S^1_k and S^1: its restarts are rows of arrays, in bounded blocks,
+that every sweep updates at once, and only the edge cost, the values a
+vertex step weighs and the random starts depend on the group. Each row's
+per-vertex step sums its local costs in a fixed order, so the ties that unit
+weights make, and the h_upper that perfbench checks on the c4 x c4 torus, do
+not depend on how a BLAS build rounds. ``frustrated_cycle_packing`` bounds
+the index from below: a greedy packing of edge-disjoint frustrated cycles,
+each of which costs every switching at least its least weight times
+|1 - sigma(C)|.
 """
 
 from __future__ import annotations
@@ -267,29 +270,65 @@ def _incidence(g: MagneticGraph, comp: np.ndarray) -> tuple:
     return (lu, lv, e), [(nb[a:b], sig[a:b], w[a:b]) for a, b in zip(cut, cut[1:])]
 
 
-def _heuristic_cyclic(g, edges, incident, restarts, rng):
-    """Coordinate descent over exponents; returns (cost, local exponents).
+def _coordinate_descent(g, edges, incident, restarts, rng):
+    """Coordinate descent on a connected component, over exponents for S^1_k
+    and angles for S^1; returns (cost, local values).
 
     The max(1, restarts) starts are the rows of arrays of at most about
-    _CHUNK // (k * deg + edges) rows each: row 0 is all zeros, row r >= 1 is
-    drawn from ``rng`` in row order. A Gauss-Seidel sweep moves vertex i, in
-    every row of the block still active, to the first minimizer of its local
-    cost, summed sequentially over its incident edges, so that every row
-    breaks its ties as it would alone, on any BLAS build. A row drops
+    _CHUNK // (width * deg + edges) rows each, width being the number of
+    values a vertex step weighs: row 0 is all zeros, row r >= 1 is drawn from
+    ``rng`` in row order. A Gauss-Seidel sweep moves vertex i, in every row
+    of the block still active, to the first minimizer of its local cost,
+    summed sequentially over its incident edges, so that every row breaks its
+    ties as it would alone, on any BLAS build. Over S^1_k it weighs the k
+    exponents; over S^1 the neighbour targets s_uv tau(v), in incidence order,
+    then the vertex's own angle: the summands are concave away from their
+    corners, so the l1 coordinate minimizer sits at a target. A row drops
     out once a sweep lowers its cost, summed sequentially in edge order, by
     less than _SWEEP_TOL; the first row of least final cost wins.
     """
-    k = g.group_order
-    m = len(incident)
-    dist = 2.0 * np.sin(np.pi * np.arange(k) / k)
-    # inc[i] = (neighbor positions, the (k, deg) table of (b - s) mod k over the
-    # exponents b, weights); no list is empty, since the component is connected
-    inc = [(nb, (np.arange(k)[:, None] - sig) % k, wt) for nb, sig, wt in incident]
     lu, lv, e = edges
     sig, w = g.sig[e], g.ew[e]
+    # no list is empty, since the component is connected
+    deg = max(len(nb) for nb, _, _ in incident)
+    if g.group_kind == CYCLIC:
+        k = width = g.group_order
+        dist = 2.0 * np.sin(np.pi * np.arange(k) / k)
+        # offsets[i]: the (k, deg) table of (b - s) mod k over the exponents b
+        offsets = [(np.arange(k)[:, None] - s) % k for _, s, _ in incident]
+
+        def edge_costs(rows):
+            return dist[(rows[:, lu] - rows[:, lv] - sig) % k] * w
+
+        def step(sub, i):
+            nb, _, wt = incident[i]
+            # offsets[i] - a[nb] lies in (-k, k), and dist[j - k] is dist[j]
+            local = np.cumsum(dist[offsets[i] - sub[:, None, nb]] * wt, axis=2)[:, :, -1]
+            return local.argmin(axis=1)
+
+        def draw(size):
+            return rng.integers(0, k, size=size)
+    else:
+        width = deg + 1
+
+        def price(x):
+            return 2.0 * np.abs(np.sin(x / 2.0))
+
+        def edge_costs(rows):
+            return price(rows[:, lu] - rows[:, lv] - sig) * w
+
+        def step(sub, i):
+            nb, s, wt = incident[i]
+            cands = np.column_stack((sub[:, nb] + s, sub[:, i]))
+            local = np.cumsum(price(cands[:, :, None] - sub[:, None, nb] - s) * wt,
+                              axis=2)[:, :, -1]
+            return cands[np.arange(len(sub)), local.argmin(axis=1)] % TWO_PI
+
+        def draw(size):
+            return rng.uniform(0, TWO_PI, size=size)
 
     def costs_of(rows):
-        return np.cumsum(dist[(rows[:, lu] - rows[:, lv] - sig) % k] * w, axis=1)[:, -1]
+        return np.cumsum(edge_costs(rows), axis=1)[:, -1]
 
     def descend(a):
         """Sweep the rows of ``a`` in place; return their final costs."""
@@ -297,10 +336,8 @@ def _heuristic_cyclic(g, edges, incident, restarts, rng):
         prev = costs_of(a)
         for _ in range(_MAX_SWEEPS):
             sub = a[active]
-            for i, (nb, off, wt) in enumerate(inc):
-                # off - a[nb] lies in (-k, k), and dist[j - k] is dist[j]
-                local = np.cumsum(dist[off - sub[:, None, nb]] * wt, axis=2)[:, :, -1]
-                sub[:, i] = local.argmin(axis=1)
+            for i in range(len(incident)):
+                sub[:, i] = step(sub, i)
             a[active] = sub
             cur = costs_of(sub)
             going = prev[active] - cur >= _SWEEP_TOL
@@ -311,64 +348,18 @@ def _heuristic_cyclic(g, edges, incident, restarts, rng):
         return prev
 
     total = max(1, restarts)
-    # each row holds k * deg floats per vertex step and one per edge in costs_of
-    block = max(1, _CHUNK // (k * max(len(nb) for nb, _, _ in inc) + len(e)))
+    # each row holds width * deg floats per vertex step and one per edge in costs_of
+    block = max(1, _CHUNK // (width * deg + len(e)))
     best_cost, best_a = math.inf, None
     for start in range(0, total, block):
-        rows = [np.zeros(m, dtype=np.int64)] if start == 0 else []
-        rows += [rng.integers(0, k, size=m)
-                 for _ in range(max(1, start), min(total, start + block))]
+        rows = [np.zeros(len(incident), dtype=sig.dtype)] if start == 0 else []
+        rows += [draw(len(incident)) for _ in range(max(1, start), min(total, start + block))]
         a = np.array(rows)
         costs = descend(a)
         r = int(np.argmin(costs))
         if costs[r] < best_cost:
             best_cost, best_a = float(costs[r]), a[r]
     return best_cost, best_a
-
-
-def _balanced_exponents(g, edges, m):
-    """Exponents, local vertex 0 at 0, that make every edge of a connected
-    component of m vertices cost 0, or None if no switching does (the
-    component is not balanced): the spanning-tree spread of
-    ``MagneticGraph.is_balanced``."""
-    lu, lv, e = edges
-    exps, _, bad = _tree_spread(m, lu, lv, g.sig[e], g.group_order)
-    return None if len(bad) else exps
-
-
-def _heuristic_circle(g, edges, incident, restarts, rng):
-    m = len(incident)
-    lu, lv, e = edges
-    terms = list(zip(lu.tolist(), lv.tolist(), g.sig[e].tolist(), g.ew[e].tolist()))
-    inc = [list(zip(*(col.tolist() for col in cols))) for cols in incident]
-
-    def cost_of(theta):
-        return sum(2.0 * abs(math.sin((theta[a] - theta[b] - s) / 2.0)) * w for a, b, s, w in terms)
-
-    best_cost, best_t = math.inf, np.zeros(m)
-    for r in range(max(1, restarts)):
-        theta = np.zeros(m) if r == 0 else rng.uniform(0, 2 * np.pi, size=m)
-        prev = cost_of(theta)
-        for _ in range(_MAX_SWEEPS):
-            for i in range(m):
-                # the l1 coordinate minimizer sits at one of the neighbor targets
-                # s_uv * tau(v) (the summands are concave away from their corners);
-                # no list is empty, since the component is connected
-                cands = [theta[v] + s for v, s, _ in inc[i]] + [theta[i]]
-                costs = [
-                    sum(2.0 * abs(math.sin((c - theta[v] - s) / 2.0)) * w
-                        for v, s, w in inc[i])
-                    for c in cands
-                ]
-                theta[i] = cands[int(np.argmin(costs))] % (2 * np.pi)
-            cur = cost_of(theta)
-            if prev - cur < _SWEEP_TOL:
-                break
-            prev = cur
-        cur = cost_of(theta)
-        if cur < best_cost:
-            best_cost, best_t = cur, theta.copy()
-    return best_cost, best_t
 
 
 def frustration_heuristic(
@@ -401,8 +392,9 @@ def _heuristic_values(g: MagneticGraph, members: np.ndarray, restarts: int, seed
     the vertices, with nothing kept in the graph's memo. One pass finds every
     set's components; each set then seeds its own rng and sums its
     components' costs in order. A lone vertex costs 0 and draws nothing; a
-    balanced component costs 0 after the draws the descent would make. With
-    ``solved`` a list, each solved component's (row, local values) goes on it."""
+    balanced S^1_k component costs 0 after the draws the descent would make.
+    With ``solved`` a list, each solved component's (row, local values) goes
+    on it."""
     owner, comps = g.components(members)
     bounds = np.searchsorted(owner, np.arange(len(members) + 1)).tolist()
     sizes = comps.sum(axis=1).tolist()
@@ -413,10 +405,11 @@ def _heuristic_values(g: MagneticGraph, members: np.ndarray, restarts: int, seed
             if sizes[c] == 1:
                 continue
             edges, incident = _incidence(g, comps[c])
-            if g.group_kind == CIRCLE:
-                cost, local = _heuristic_circle(g, edges, incident, restarts, rng)
-            elif (local := _balanced_exponents(g, edges, sizes[c])) is None:
-                cost, local = _heuristic_cyclic(g, edges, incident, restarts, rng)
+            lu, lv, e = edges
+            if g.group_kind == CYCLIC:  # the balanced shortcut is S^1_k's alone
+                local, _, bad = _tree_spread(sizes[c], lu, lv, g.sig[e], g.group_order)
+            if g.group_kind == CIRCLE or len(bad):
+                cost, local = _coordinate_descent(g, edges, incident, restarts, rng)
             else:
                 for _ in range(max(1, restarts) - 1):
                     rng.integers(0, g.group_order, size=sizes[c])

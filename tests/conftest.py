@@ -59,6 +59,19 @@ def random_graph(rng, n, k, force_trivial_signature=False):
     return build_graph(n, edges, mu)
 
 
+def random_circle_graph(rng, n):
+    """Connected random graph as ``random_graph`` draws it, with S^1 angles
+    from U(0, 2pi) in place of exponents."""
+    pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    for _ in range(int(rng.integers(1, n + 1))):
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        if (u, v) not in pairs:
+            pairs.append((u, v))
+    return build_graph(n, [(u, v, float(rng.uniform(0.5, 2.0)),
+                            GroupElement.circle(float(rng.uniform(0.0, 2.0 * math.pi))))
+                           for u, v in pairs], rng.uniform(0.5, 2.0, size=n))
+
+
 def k4_union(triangle=False):
     """Two relabelled copies, on {4, 5, 3, 7} and {6, 0, 2, 1}, of one K4 at
     k = 2 with weights drawn from U(0.1, 3) and random signatures

@@ -7,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magneto.frustration
-from conftest import circle_cycle, cycle_graph, k2_graph, k3k4_union, k4_union, peak_bytes, random_graph
+from conftest import (
+    circle_cycle,
+    cycle_graph,
+    k2_graph,
+    k3k4_union,
+    k4_union,
+    peak_bytes,
+    random_circle_graph,
+    random_graph,
+)
 from frustration_oracle import enumerate_frustration, lex_first_min_count
 from heuristic_oracle import heuristic_frustration
 from magneto import (
@@ -275,6 +284,40 @@ def test_heuristic_matches_the_restart_by_restart_oracle(case, restarts, seed):
     assert l1_switch_cost(g, mask, res.minimizer) == pytest.approx(res.value, rel=1e-12, abs=0.0)
 
 
+@st.composite
+def circle_heuristic_cases(draw):
+    """(graph, mask) with S^1 signatures on n <= 9 vertices, unit or uniform
+    [0.5, 2] weights; each angle a multiple of pi/2, where local costs tie, or
+    uniform on [0, 2pi). The subset is any nonempty one, so it may induce
+    several components."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), min_size=1, max_size=3 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = draw(st.booleans())
+    right = draw(st.booleans())
+    edges = [(u, v, 1.0 if unit else float(rng.uniform(0.5, 2.0)),
+              GroupElement.circle(draw(st.integers(0, 3)) * math.pi / 2 if right
+                                  else float(rng.uniform(0.0, 2.0 * math.pi))))
+             for u, v in sorted(pairs)]
+    g = build_graph(n, edges)
+    return g, draw(st.integers(1, g.full_mask()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=circle_heuristic_cases(), restarts=st.integers(0, 8), seed=st.integers(0, 2**64))
+@example(case=(circle_cycle(4, [0.0, 0.0, 0.0, math.pi / 2]), 0b1111), restarts=8, seed=0)
+def test_circle_heuristic_matches_the_restart_by_restart_oracle(case, restarts, seed):
+    # the rows' descent over angles gives the floats and the ties of the
+    # interpreted one, restart by restart
+    g, mask = case
+    res = frustration_heuristic(g, mask, restarts=restarts, seed=seed)
+    value, assignment = heuristic_frustration(g, mask, restarts, seed)
+    assert res.value == value
+    assert {u: float(res.minimizer[u]) for u in assignment} == assignment
+    assert not res.minimizer[~g.indicator(mask)].any()  # 0 outside the subset
+
+
 def test_heuristic_breaks_dense_unit_ties_like_the_oracle():
     # vertices of degree >= 4 with unit weights: local costs tie, and a sum in
     # another order, such as a BLAS product, breaks some of them the other way
@@ -302,6 +345,19 @@ def test_heuristic_restart_blocks_match_the_oracle(chunk):
             assert {u: int(res.minimizer[u]) for u in assignment} == assignment
 
 
+@pytest.mark.parametrize("chunk", [1, 60, 1 << 15])
+def test_circle_restart_blocks_match_the_oracle(chunk):
+    # small chunks split the restarts over angles into blocks of one or a few rows
+    rng = np.random.default_rng(6)
+    with mock.patch.object(magneto.frustration, "_CHUNK", chunk):
+        for t in range(6):
+            g = random_circle_graph(rng, 7)
+            res = frustration_heuristic(g, g.full_mask(), restarts=30, seed=t)
+            value, assignment = heuristic_frustration(g, g.full_mask(), 30, t)
+            assert res.value == value
+            assert {u: float(res.minimizer[u]) for u in assignment} == assignment
+
+
 def test_a_balanced_component_makes_the_draws_of_the_descent():
     # the path 0-1-2 is balanced and costs 0 without a descent, but it draws
     # what its descent would, so the frustrated component after it starts from
@@ -322,6 +378,15 @@ def test_heuristic_memory_does_not_grow_with_restarts():
     # rows are swept in blocks of about _CHUNK // (k * deg + edges), so many
     # restarts cost time, not memory
     g = cycle_graph(8, 3, 1)
+    peaks = [peak_bytes(lambda r=restarts: frustration_heuristic(g, g.full_mask(), restarts=r,
+                                                                 seed=1))
+             for restarts in (3000, 30000)]
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_circle_heuristic_memory_does_not_grow_with_restarts():
+    # the S^1 rows are swept in blocks of about _CHUNK // ((deg + 1) * deg + edges)
+    g = circle_cycle(8, [0.3, 1.1, 0.0, 2.0, 0.7, 0.0, 0.0, 1.5])
     peaks = [peak_bytes(lambda r=restarts: frustration_heuristic(g, g.full_mask(), restarts=r,
                                                                  seed=1))
              for restarts in (3000, 30000)]
