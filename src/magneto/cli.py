@@ -53,9 +53,9 @@ _TRIAL_ENTRIES = 1 << 16
 
 
 def _random_fs(seed: int, trials: int, n: int):
-    """``trials`` random complex vertex functions (none if ``trials`` is not
-    positive), as the rows of blocks of at most ``_TRIAL_ENTRIES`` entries (one
-    row at least); each row draws its real parts, then its imaginary parts."""
+    """``trials`` random complex vertex functions, as the rows of blocks of at
+    most ``_TRIAL_ENTRIES`` entries (one row at least); each row draws its
+    real parts, then its imaginary parts."""
     rng = np.random.default_rng(seed)
     rows = max(1, _TRIAL_ENTRIES // max(n, 1))
     for start in range(0, trials, rows):
@@ -180,16 +180,17 @@ def _coarea_violations(g, fs, budget: int) -> int:
     """How many rows of ``fs``, normalized vertex functions, have a coarea
     integral above ``_sobolev_factor`` * ||grad_sigma f||_1 + 1e-9.
 
-    The checks of the exact solve run first, on each row's support alone:
-    the support is the row's first and largest level set, and |S| - c(S)
-    never falls as S grows (a vertex that joins d components adds d), so
-    the first level set to fail them is the support of the first row whose
-    support fails. A row whose ``_coarea_switch_bound`` meets the right-hand
-    side, with a relative margin of 1e-12 for rounding, is then certified
-    without a solve: the exact path would not count it. Only the other rows
-    go to ``coarea_lhs``."""
+    The checks of the exact solve run first, on each distinct support once,
+    in order of first appearance: the support is a row's first and largest
+    level set, and |S| - c(S) never falls as S grows (a vertex that joins d
+    components adds d), so the first level set to fail them is the support
+    of the first row whose support fails. A row whose
+    ``_coarea_switch_bound`` meets the right-hand side, with a relative
+    margin of 1e-12 for rounding, is then certified without a solve: the
+    exact path would not count it. Only the other rows go to
+    ``coarea_lhs``."""
     rows = np.abs(fs)
-    _check_sets(g, rows > 0, budget)
+    _check_sets(g, functional._distinct_rows(rows > 0)[0], budget)
     rhs = functional._sobolev_factor(g) * functional.signed_gradient_norm(g, fs, 1.0)
     uncertified = ~(functional._coarea_switch_bound(g, rows) * (1.0 + 1e-12) <= rhs + 1e-9)
     if not uncertified.any():
@@ -390,6 +391,8 @@ def main(argv=None) -> int:
         inputs = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
         if getattr(args, "seed", 0) < 0:
             raise MagnetoError("BAD_SEED", f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "trials", 0) < 0:
+            raise MagnetoError("BAD_TRIALS", f"--trials must be >= 0, got {args.trials}")
         results, status = args.func(args)
     except MagnetoError as exc:
         results, status = {"error": exc.code, "message": exc.message}, "ERROR"

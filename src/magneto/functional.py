@@ -17,7 +17,7 @@ import numpy as np
 from .errors import MagnetoError
 from .frustration import DEFAULT_BUDGET, _frustration_values, frustration_exact
 from .graph import MagneticGraph
-from .groups import CIRCLE, TWO_PI
+from .groups import CIRCLE, TWO_PI, _check_order
 from .isoperimetry import isoperimetric_constant
 
 _SAT_TOL = 1e-9
@@ -33,6 +33,7 @@ def _check_t(t: float) -> None:
 def sector_function(z: complex, t: float, theta: float, k: int) -> complex:
     """Discretize z to the k-th root of unity of its sector, zero inside |z| < t."""
     _check_t(t)
+    _check_order(k)
     if not abs(z) <= 1.0 + _DISK_TOL:  # NaN fails too
         raise MagnetoError("OUT_OF_DISK", "z must lie in the closed unit disk")
     if abs(z) < t:
@@ -68,6 +69,7 @@ def key_average_cyclic_batch(z1, z2, k: int) -> np.ndarray:
     all theta and by m + 1 for the rest, so the average is
     r2 [(1 - phi) d(m) + phi d(m + 1)] + (r1 - r2) with d(j) = 2 sin(pi j / k).
     """
+    _check_order(k)
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     z2 = np.atleast_1d(np.asarray(z2, dtype=complex))
     r1, r2 = np.abs(z1), np.abs(z2)
@@ -143,7 +145,7 @@ def coarea_lhs(g: MagneticGraph, f, budget: int = DEFAULT_BUDGET):
     together, each distinct set once. Errors are those of the row-by-row
     computation: the first row, then the first level of it, that fails.
     """
-    absf = np.abs(np.asarray(f, dtype=complex))
+    absf = np.abs(g._vertex_function(f))
     rows = np.atleast_2d(absf)
     unnormalized = np.flatnonzero(np.abs(np.max(rows, axis=1, initial=0.0) - 1.0) > _DISK_TOL)
     if len(unnormalized):  # the rows before it raise their own errors first
@@ -156,12 +158,7 @@ def coarea_lhs(g: MagneticGraph, f, budget: int = DEFAULT_BUDGET):
     members = rows[r] >= srt[r, j, None]
     # the distinct sets in order of first appearance, as the row-by-row
     # computation meets them
-    packed = np.packbits(members, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.argsort(first)
-    which = np.argsort(rank)[which]
-    distinct = members[first[rank]]
+    distinct, which = _distinct_rows(members)
     iota = np.zeros(srt.shape)
     iota[r, j] = _frustration_values(g, distinct, budget)[which]
     if len(unnormalized):
@@ -172,6 +169,16 @@ def coarea_lhs(g: MagneticGraph, f, budget: int = DEFAULT_BUDGET):
     terms = np.column_stack([boundary, np.where(level, srt - prev, 0.0) * iota])
     total = np.cumsum(terms, axis=1)[:, -1]  # summed in order, as the levels rise
     return float(total[0]) if absf.ndim == 1 else total
+
+
+def _distinct_rows(members: np.ndarray) -> tuple:
+    """(distinct, which) of a stack of boolean rows: its distinct rows in order
+    of first appearance, and the index among them of each row's own."""
+    packed = np.packbits(members, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    return members[first[rank]], np.argsort(rank)[which]
 
 
 def _coarea_switch_bound(g: MagneticGraph, rows: np.ndarray) -> np.ndarray:
@@ -190,7 +197,7 @@ def _coarea_switch_bound(g: MagneticGraph, rows: np.ndarray) -> np.ndarray:
 def signed_gradient_norm(g: MagneticGraph, f, p: float = 1.0):
     """Sum over edges of w_uv |f(u) - s_uv f(v)|^p (orientation invariant), for
     one vertex function or each of a stack of them along the last axis."""
-    f = np.asarray(f, dtype=complex)
+    f = g._vertex_function(f)
     s = g.signature_values()
     # np.take returns each function's entries contiguous, so np.sum sums every
     # row of a stack in the order it sums one function alone
@@ -201,7 +208,9 @@ def signed_gradient_norm(g: MagneticGraph, f, p: float = 1.0):
 def measure_norm(g: MagneticGraph, f, r: float = 1.0):
     """(sum_u |f(u)|^r mu(u))^{1/r}, for one vertex function or each of a stack
     of them along the last axis."""
-    f = np.ascontiguousarray(f, dtype=complex)  # rows contiguous, as for one function
+    if not r > 0.0:  # NaN too
+        raise MagnetoError("BAD_EXPONENTS", f"need r > 0, got {r}")
+    f = np.ascontiguousarray(g._vertex_function(f))  # rows contiguous, as for one function
     return _root(np.sum(np.abs(f) ** r * g.mu, axis=-1), r)
 
 
@@ -247,7 +256,7 @@ def verify_sobolev(
     p >= 1). The reported quotient is gradient/norm, so the inequality reads
     quotient >= bound_low.
     """
-    f = np.ascontiguousarray(f, dtype=complex)
+    f = np.ascontiguousarray(g._vertex_function(f))
     if not np.all(np.any(f, axis=-1)):
         raise MagnetoError("ZERO_FUNCTION", "f must be nonzero")
     factor = _sobolev_factor(g)

@@ -188,6 +188,15 @@ class MagneticGraph:
         order = np.argsort(owner, kind="stable")
         return owner[order], np.concatenate(comps)[order]
 
+    def _vertex_function(self, f, dtype=complex) -> np.ndarray:
+        """A vertex function from a caller, or a stack of them along the last
+        axis, as an array of ``dtype``, checked to hold one value per vertex."""
+        f = np.asarray(f, dtype=dtype)
+        if f.shape[-1:] != (self.n,):
+            raise MagnetoError("BAD_SIZE",
+                               f"f must have one value per vertex, {self.n}, got shape {f.shape}")
+        return f
+
     # -- gauge transformations ----------------------------------------------
 
     def _switching(self, tau) -> np.ndarray:

@@ -19,6 +19,12 @@ CYCLIC = "cyclic"
 CIRCLE = "circle"
 
 
+def _check_order(k: int) -> None:
+    """BAD_GROUP unless k >= 1, the order of a cyclic group S^1_k."""
+    if k < 1:
+        raise MagnetoError("BAD_GROUP", f"cyclic order must be >= 1, got {k}")
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Element of S^1 (``kind="circle"``) or S^1_k (``kind="cyclic"``).
@@ -34,8 +40,7 @@ class GroupElement:
 
     @staticmethod
     def cyclic(exponent: int, order: int) -> "GroupElement":
-        if order < 1:
-            raise MagnetoError("BAD_GROUP", f"cyclic order must be >= 1, got {order}")
+        _check_order(order)
         return GroupElement(CYCLIC, exponent=exponent % order, order=order)
 
     @staticmethod

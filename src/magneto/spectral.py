@@ -112,15 +112,16 @@ def heat_kernel_properties_check(g: MagneticGraph, t: float, a: float) -> dict:
     lap = magnetic_laplacian(g)
     signed, plain = eigendecomposition(lap), spectral_data(g, signed=False)
     k_t, k_a, k_rest = (_heat_kernel(signed, s) for s in (t, a, t - a))
-    scale = max(1.0, float(np.abs(k_t).max()))
+    scale = max(1.0, float(np.abs(k_t).max(initial=0.0)))
     report = {}
-    report["semigroup"] = float(np.abs(k_a @ k_rest - k_t).max()) <= _SEMIGROUP_TOL * scale
+    report["semigroup"] = float(np.abs(k_a @ k_rest - k_t).max(initial=0.0)) <= \
+        _SEMIGROUP_TOL * scale
     # d/dt K_t = V diag(-lambda e^{-lambda t}) V^H, exact, against -L K_t
     deriv = (signed.eigenvectors * (-signed.eigenvalues * _decay(signed.eigenvalues, t))) @ \
         signed.eigenvectors.conj().T
     rhs = -lap @ k_t
-    denom = max(float(np.abs(rhs).max()), 1.0)
-    report["heat_equation"] = float(np.abs(deriv - rhs).max()) <= _HEAT_EQ_REL * denom
+    denom = max(float(np.abs(rhs).max(initial=0.0)), 1.0)
+    report["heat_equation"] = float(np.abs(deriv - rhs).max(initial=0.0)) <= _HEAT_EQ_REL * denom
     k_plain = _heat_kernel(plain, t)
     sqrt_mu = np.sqrt(g.mu)
     report["unsigned_positive"] = float(k_plain.real.min(initial=0.0)) >= -_ENTRYWISE_TOL and \
@@ -134,7 +135,7 @@ def positivity_check(g: MagneticGraph, lam: float, f) -> bool:
     """Resolvent positivity: (Delta + lam)^{-1} f >= 0 for real f >= 0."""
     if lam <= 0:
         raise MagnetoError("BAD_LAMBDA", "lambda must be positive")
-    f = np.asarray(f, dtype=float)
+    f = g._vertex_function(f, float)
     if np.any(f < 0):
         raise MagnetoError("BAD_INPUT", "positivity check needs f >= 0")
     sd = spectral_data(g, signed=False)
@@ -146,7 +147,7 @@ def positivity_check(g: MagneticGraph, lam: float, f) -> bool:
 def kato_check(g: MagneticGraph, f) -> np.ndarray:
     """Pointwise |f| Delta|f| <= Re(Delta_sigma f conj(f)) for one vertex function
     or a stack of them along the last axis; one verdict per function."""
-    f = np.asarray(f, dtype=complex)
+    f = g._vertex_function(f)
     absf = np.abs(f)
     lhs = absf * (absf @ magnetic_laplacian(g, signed=False).T).real
     rhs = ((f @ magnetic_laplacian(g, signed=True).T) * np.conj(f)).real
@@ -162,6 +163,7 @@ def domination_check(g: MagneticGraph, t, f) -> np.ndarray:
     times = np.asarray(t, dtype=float)
     for s in times.flat:
         _check_time(s)
+    f = g._vertex_function(f)
     return _domination_verdicts(spectral_data(g, signed=True), spectral_data(g, signed=False),
                                 times, f)
 

@@ -124,6 +124,9 @@ def test_verify_suites(tmp_path, capsys):
     assert set(rep["results"]) == {
         "coarea", "sobolev", "kato", "domination", "trace", "product"
     }
+    # no trials check nothing, and pass
+    code, rep, _ = run(capsys, ["verify", path, "--suite", "coarea", "--trials", "0"])
+    assert (code, rep["results"]) == (0, {"coarea": {"trials": 0, "violations": 0}})
 
 
 @pytest.mark.parametrize("trials", [-1, 0, 1, 5])
@@ -286,12 +289,13 @@ def test_sobolev_suite_at_infinite_delta(tmp_path, capsys):
     (["heat", "{path}", "--t", "nan"], "NONFINITE_TIME"),
     (["frustration", "{path}", "--heuristic", "--seed=-1"], "BAD_SEED"),
     (["verify", "{path}", "--suite", "kato", "--seed=-1"], "BAD_SEED"),
+    (["verify", "{path}", "--suite", "coarea", "--trials", "-5"], "BAD_TRIALS"),
     (["cheeger", "{path}", "--junk"], "USAGE"),
     (["oracle", "cycle", "--n", "four", "--k", "3", "--j", "1"], "USAGE"),
     ([], "USAGE"),
 ], ids=["trace_infinite_delta", "subset_not_hex", "oracle_empty_cycle", "oracle_delta_one",
-        "heat_nan_time", "frustration_negative_seed", "verify_negative_seed", "unknown_flag",
-        "non_integer_n", "no_command"])
+        "heat_nan_time", "frustration_negative_seed", "verify_negative_seed",
+        "verify_negative_trials", "unknown_flag", "non_integer_n", "no_command"])
 def test_bad_arguments_are_errors(tmp_path, capsys, argv, error):
     path = write_graph(tmp_path, cycle_graph(5, 3, 1))
     code, rep, _ = run(capsys, [a.format(path=path) for a in argv])

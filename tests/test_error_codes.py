@@ -15,15 +15,22 @@ from magneto import (
     build_graph,
     cartesian_product,
     cheeger_constant,
+    coarea_lhs,
+    domination_check,
     heat_kernel,
     heat_kernel_properties_check,
     isoperimetric_constant,
+    kato_check,
+    key_average_cyclic,
     l1_switch_cost,
+    measure_norm,
     positivity_check,
     radial_function,
     sector_function,
+    signed_gradient_norm,
     verify_sobolev,
 )
+from magneto.functional import key_average_cyclic_batch
 from magneto.cli import main
 
 EMPTY = build_graph(0, [])
@@ -39,14 +46,35 @@ CASES = {
         "<lambda>1": lambda: isoperimetric_constant(EMPTY, 3.0),
         "<lambda>2": lambda: isoperimetric_constant(EMPTY, math.inf, heuristic=True),
     },
-    "BAD_EXPONENTS": {"<lambda>": lambda: verify_sobolev(CYCLE, np.ones(4), "cheeger_p1")},  # no h
+    "BAD_EXPONENTS": {
+        "<lambda>": lambda: verify_sobolev(CYCLE, np.ones(4), "cheeger_p1"),  # no h
+        "measure_norm r = 0": lambda: measure_norm(CYCLE, np.ones(4), 0.0),
+        "measure_norm r < 0": lambda: measure_norm(CYCLE, np.ones(4), -1.0),
+        "measure_norm r nan": lambda: measure_norm(CYCLE, np.ones(4), math.nan),
+    },
+    "BAD_GROUP": {
+        "key_average_cyclic k = 0": lambda: key_average_cyclic(0.5, 0.5j, 0),
+        "key_average_cyclic_batch k = 0": lambda: key_average_cyclic_batch([0.5], [0.5j], 0),
+        "sector_function k = 0": lambda: sector_function(0.5, 0.5, 0.0, 0),
+    },
     "BAD_INPUT": {"<lambda>": lambda: positivity_check(CYCLE, 1.0, [1.0, -0.5, 0.0, 2.0])},
     "BAD_LAMBDA": {
         "<lambda>0": lambda: positivity_check(CYCLE, 0.0, np.ones(4)),
         "<lambda>1": lambda: positivity_check(CYCLE, -1.0, np.ones(4)),
     },
     "BAD_SIGNATURE": {"<lambda>": lambda: build_graph(2, [(0, 1, 1.0, 1)])},
-    "BAD_SIZE": {"<lambda>": lambda: build_graph(-1, [])},
+    "BAD_SIZE": {
+        "<lambda>": lambda: build_graph(-1, []),
+        # vertex functions with 3 or 5 entries on the 4-cycle
+        "kato_check 3 entries": lambda: kato_check(CYCLE, np.ones(3)),
+        "domination_check 5 entries": lambda: domination_check(CYCLE, 1.0, np.ones(5)),
+        "positivity_check 3 entries": lambda: positivity_check(CYCLE, 1.0, np.ones(3)),
+        "measure_norm 5 entries": lambda: measure_norm(CYCLE, np.ones(5)),
+        "coarea_lhs 3 entries": lambda: coarea_lhs(CYCLE, np.ones(3)),
+        "verify_sobolev 5 entries": lambda: verify_sobolev(CYCLE, np.ones(5), "iso_p1",
+                                                           delta=3.0, c_delta=1.0),
+        "signed_gradient_norm 5 entries": lambda: signed_gradient_norm(CYCLE, np.ones(5)),
+    },
     "BAD_SUBSET": {"<lambda>": lambda: CYCLE.as_mask([CYCLE.n])},
     "INCOMPLETE_ASSIGNMENT": {
         # tau names vertices 0 and 1 only; the subset holds all four

@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import magneto.cli
 import magneto.frustration
 import magneto.functional
 import magneto.isoperimetry
@@ -86,6 +87,26 @@ def test_coarea_suite_solves_and_keeps_nothing(tmp_path, monkeypatch):
     assert len(calls) == 1 and calls[0][0] is switched
     # graph-wide entries only (the edge tables): no key per mask
     assert all(isinstance(key, str) for key in switched._memo)
+
+
+def test_coarea_suite_checks_each_distinct_support_once(tmp_path, monkeypatch):
+    # a drawn row is nonzero at every vertex, so the 100 supports of a block
+    # are one set, V, and the checks of the exact solve run on it once
+    g = random_graph(np.random.default_rng(11), 10, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    checked = []
+    check = magneto.cli._check_sets
+
+    def counted(graph, members, budget):
+        checked.append(members.tolist())
+        return check(graph, members, budget)
+
+    monkeypatch.setattr(magneto.cli, "_check_sets", counted)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path), "--suite", "coarea", "--trials", "100"])
+    assert code == 0
+    assert checked == [[[True] * 10]]
 
 
 def fields(res):

@@ -14,6 +14,7 @@ from laplacian_oracle import loop_laplacian
 from spectral_oracle import domination_per_t, residual
 from magneto import (
     MagnetoError,
+    build_graph,
     domination_check,
     eigendecomposition,
     eigenvalue_lower_bound_check,
@@ -182,6 +183,15 @@ def test_heat_kernel_properties():
         for t in (0.0, 1e-7, 0.1, 1.0, 10.0):
             rep = heat_kernel_properties_check(g, t, t / 2.0)
             assert rep["ok"], rep
+
+
+def test_checks_are_vacuous_on_the_empty_graph():
+    # every check holds of the empty graph, as every claim about its vertices does
+    g = build_graph(0, [])
+    assert heat_kernel_properties_check(g, 1.0, 0.5) == dict.fromkeys(
+        ("semigroup", "heat_equation", "unsigned_positive", "fixes_sqrt_mu", "ok"), True)
+    assert kato_check(g, np.zeros(0)) and domination_check(g, 1.0, np.zeros(0))
+    assert positivity_check(g, 1.0, np.zeros(0))
 
 
 def test_heat_equation_is_checked_at_every_time(monkeypatch):
