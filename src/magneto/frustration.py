@@ -294,17 +294,18 @@ def _coordinate_descent(g, edges, incident, restarts, rng):
     if g.group_kind == CYCLIC:
         k = width = g.group_order
         dist = 2.0 * np.sin(np.pi * np.arange(k) / k)
-        # offsets[i]: the (k, deg) table of (b - s) mod k over the exponents b
-        offsets = [(np.arange(k)[:, None] - s) % k for _, s, _ in incident]
+        # inc[i] = (neighbor positions, the (k, deg) table of (b - s) mod k over
+        # the exponents b, weights)
+        inc = [(nb, (np.arange(k)[:, None] - s) % k, wt) for nb, s, wt in incident]
 
         def edge_costs(rows):
             return dist[(rows[:, lu] - rows[:, lv] - sig) % k] * w
 
-        def step(sub, i):
-            nb, _, wt = incident[i]
-            # offsets[i] - a[nb] lies in (-k, k), and dist[j - k] is dist[j]
-            local = np.cumsum(dist[offsets[i] - sub[:, None, nb]] * wt, axis=2)[:, :, -1]
-            return local.argmin(axis=1)
+        def sweep(sub):
+            for i, (nb, off, wt) in enumerate(inc):
+                # off - a[nb] lies in (-k, k), and dist[j - k] is dist[j]
+                local = np.cumsum(dist[off - sub[:, None, nb]] * wt, axis=2)[:, :, -1]
+                sub[:, i] = local.argmin(axis=1)
 
         def draw(size):
             return rng.integers(0, k, size=size)
@@ -317,12 +318,13 @@ def _coordinate_descent(g, edges, incident, restarts, rng):
         def edge_costs(rows):
             return price(rows[:, lu] - rows[:, lv] - sig) * w
 
-        def step(sub, i):
-            nb, s, wt = incident[i]
-            cands = np.column_stack((sub[:, nb] + s, sub[:, i]))
-            local = np.cumsum(price(cands[:, :, None] - sub[:, None, nb] - s) * wt,
-                              axis=2)[:, :, -1]
-            return cands[np.arange(len(sub)), local.argmin(axis=1)] % TWO_PI
+        def sweep(sub):
+            rows = np.arange(len(sub))
+            for i, (nb, s, wt) in enumerate(incident):
+                cands = np.concatenate((sub[:, nb] + s, sub[:, i, None]), axis=1)
+                local = np.cumsum(price(cands[:, :, None] - sub[:, None, nb] - s) * wt,
+                                  axis=2)[:, :, -1]
+                sub[:, i] = cands[rows, local.argmin(axis=1)] % TWO_PI
 
         def draw(size):
             return rng.uniform(0, TWO_PI, size=size)
@@ -336,8 +338,7 @@ def _coordinate_descent(g, edges, incident, restarts, rng):
         prev = costs_of(a)
         for _ in range(_MAX_SWEEPS):
             sub = a[active]
-            for i in range(len(incident)):
-                sub[:, i] = step(sub, i)
+            sweep(sub)
             a[active] = sub
             cur = costs_of(sub)
             going = prev[active] - cur >= _SWEEP_TOL

@@ -136,7 +136,8 @@ def heuristic_frustration(g, mask, restarts, seed):
             assignment[comp[0]] = 0
             continue
         if g.group_kind == "circle":
-            cost, theta = heuristic_circle(g, *_circle_incidence(g, edges, len(comp)), restarts, rng)
+            edges, incident = _circle_incidence(g, edges, len(comp))
+            cost, theta = heuristic_circle(g, edges, incident, restarts, rng)
             total += cost
             assignment.update({u: float(theta[i]) % TWO_PI for i, u in enumerate(comp)})
             continue

@@ -334,28 +334,17 @@ def test_heuristic_breaks_dense_unit_ties_like_the_oracle():
 
 @pytest.mark.parametrize("chunk", [1, 60, 1 << 15])
 def test_heuristic_restart_blocks_match_the_oracle(chunk):
-    # small chunks split the restarts into blocks of one or a few rows
-    rng = np.random.default_rng(5)
+    # small chunks split the restarts into blocks of one or a few rows, over
+    # exponents and over angles
+    rng, circle_rng = np.random.default_rng(5), np.random.default_rng(6)
     with mock.patch.object(magneto.frustration, "_CHUNK", chunk):
         for t in range(6):
-            g = random_graph(rng, 7, int(rng.integers(2, 7)))
-            res = frustration_heuristic(g, g.full_mask(), restarts=30, seed=t)
-            value, assignment = heuristic_frustration(g, g.full_mask(), 30, t)
-            assert res.value == value
-            assert {u: int(res.minimizer[u]) for u in assignment} == assignment
-
-
-@pytest.mark.parametrize("chunk", [1, 60, 1 << 15])
-def test_circle_restart_blocks_match_the_oracle(chunk):
-    # small chunks split the restarts over angles into blocks of one or a few rows
-    rng = np.random.default_rng(6)
-    with mock.patch.object(magneto.frustration, "_CHUNK", chunk):
-        for t in range(6):
-            g = random_circle_graph(rng, 7)
-            res = frustration_heuristic(g, g.full_mask(), restarts=30, seed=t)
-            value, assignment = heuristic_frustration(g, g.full_mask(), 30, t)
-            assert res.value == value
-            assert {u: float(res.minimizer[u]) for u in assignment} == assignment
+            for g in (random_graph(rng, 7, int(rng.integers(2, 7))),
+                      random_circle_graph(circle_rng, 7)):
+                res = frustration_heuristic(g, g.full_mask(), restarts=30, seed=t)
+                value, assignment = heuristic_frustration(g, g.full_mask(), 30, t)
+                assert res.value == value
+                assert {u: res.minimizer[u].item() for u in assignment} == assignment
 
 
 def test_a_balanced_component_makes_the_draws_of_the_descent():
@@ -375,22 +364,14 @@ def test_a_balanced_component_makes_the_draws_of_the_descent():
 
 
 def test_heuristic_memory_does_not_grow_with_restarts():
-    # rows are swept in blocks of about _CHUNK // (k * deg + edges), so many
-    # restarts cost time, not memory
-    g = cycle_graph(8, 3, 1)
-    peaks = [peak_bytes(lambda r=restarts: frustration_heuristic(g, g.full_mask(), restarts=r,
-                                                                 seed=1))
-             for restarts in (3000, 30000)]
-    assert peaks[1] < 1.5 * peaks[0]
-
-
-def test_circle_heuristic_memory_does_not_grow_with_restarts():
-    # the S^1 rows are swept in blocks of about _CHUNK // ((deg + 1) * deg + edges)
-    g = circle_cycle(8, [0.3, 1.1, 0.0, 2.0, 0.7, 0.0, 0.0, 1.5])
-    peaks = [peak_bytes(lambda r=restarts: frustration_heuristic(g, g.full_mask(), restarts=r,
-                                                                 seed=1))
-             for restarts in (3000, 30000)]
-    assert peaks[1] < 1.5 * peaks[0]
+    # rows are swept in blocks of about _CHUNK // (width * deg + edges), the
+    # width k over S^1_k and deg + 1 over S^1, so many restarts cost time, not
+    # memory
+    for g in (cycle_graph(8, 3, 1), circle_cycle(8, [0.3, 1.1, 0.0, 2.0, 0.7, 0.0, 0.0, 1.5])):
+        peaks = [peak_bytes(lambda r=restarts: frustration_heuristic(g, g.full_mask(), restarts=r,
+                                                                     seed=1))
+                 for restarts in (3000, 30000)]
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 def _unit_graph(rng, n, k):
