@@ -47,8 +47,8 @@ def _load_graph(path: str) -> MagneticGraph:
         return graph_from_json(fh.read())
 
 
-# vertex-function entries a suite draws and checks at once: a suite's memory
-# (about 80 bytes an entry) stays near 5 MiB for any --trials
+# vertex-function entries a verify run draws and checks at once: its trial
+# suites' memory (about 80 bytes an entry) stays near 5 MiB for any --trials
 _TRIAL_ENTRIES = 1 << 16
 
 
@@ -199,51 +199,56 @@ def _coarea_violations(g, fs, budget: int) -> int:
     return int(np.count_nonzero(lhs > rhs[uncertified] + 1e-9))
 
 
+# The suites that check random vertex functions. Each is started once, just
+# before its first block of trials, or after the last block when there is
+# none, and returns (count, fields): count gives the violations in one block,
+# and the report is {"trials", *fields, "violations"}; or (None, report) when
+# the suite is skipped.
+
 def _suite_coarea(g, args):
-    violations = 0
-    for fs in _random_fs(args.seed, args.trials, g.n):
+    def count(fs):
         # a zero row raises ZERO_FUNCTION here, before the checks of the rows
         # before it; drawn rows are zero only when n = 0, and then all are
-        fs = functional.normalize_vertex_function(fs)
-        violations += _coarea_violations(g, fs, _budget())
-    return {"trials": args.trials, "violations": violations}, violations == 0
+        return _coarea_violations(g, functional.normalize_vertex_function(fs), _budget())
+
+    return count, {}
 
 
 def _suite_sobolev(g, args):
     delta = args.delta
-    h = isoperimetry.cheeger_constant(g, budget=_budget()).constant
-    c_delta = isoperimetry.isoperimetric_constant(g, delta, budget=_budget()).constant
+    h, c_delta = (res.constant for res in isoperimetry.isoperimetric_constant(
+        g, (math.inf, delta), budget=_budget()))
     if h <= 0:
-        return {"skipped": "balanced graph (h = 0)"}, True
+        return None, {"skipped": "balanced graph (h = 0)"}
     p = 2.0 if delta > 2.0 else 0.5 * (1.0 + delta)
-    violations = 0
-    for fs in _random_fs(args.seed, args.trials, g.n):
+
+    def count(fs):
         checks = [
             functional.verify_sobolev(g, fs, "iso_p1", delta=delta, c_delta=c_delta),
             functional.verify_sobolev(g, fs, "iso_general", p=p, delta=delta, c_delta=c_delta),
             functional.verify_sobolev(g, fs, "cheeger_p1", h=h),
             functional.verify_sobolev(g, fs, "cheeger_p", p=p, h=h),
         ]
-        violations += sum(int(np.count_nonzero(~c.satisfied)) for c in checks)
-    return {"trials": args.trials, "h": h, "c_delta": c_delta, "violations": violations}, \
-        violations == 0
+        return sum(int(np.count_nonzero(~c.satisfied)) for c in checks)
+
+    return count, {"h": h, "c_delta": c_delta}
 
 
 def _suite_kato(g, args):
-    violations = sum(int(np.count_nonzero(~spectral.kato_check(g, fs)))
-                     for fs in _random_fs(args.seed, args.trials, g.n))
-    return {"trials": args.trials, "violations": violations}, violations == 0
+    return (lambda fs: int(np.count_nonzero(~spectral.kato_check(g, fs)))), {}
 
 
 def _suite_domination(g, args):
-    spectra, violations = (), 0
-    for fs in _random_fs(args.seed, args.trials, g.n):
+    spectra = []
+
+    def count(fs):
         if not spectra:  # at the first block, so --trials 0 solves nothing
-            spectra = (spectral.spectral_data(g, signed=True),
-                       spectral.spectral_data(g, signed=False))
+            spectra.extend((spectral.spectral_data(g, signed=True),
+                            spectral.spectral_data(g, signed=False)))
         verdicts = spectral._domination_verdicts(*spectra, np.array((0.1, 1.0, 10.0)), fs)
-        violations += int(np.count_nonzero(~verdicts))
-    return {"trials": args.trials, "violations": violations}, violations == 0
+        return int(np.count_nonzero(~verdicts))
+
+    return count, {}
 
 
 def _suite_trace(g, args):
@@ -268,24 +273,44 @@ def _suite_product(g, args):
     }, rep.holds
 
 
-# the verify suites, in the order `--suite all` runs and reports them; each
-# returns (its report, whether every check held)
-_SUITES = {
+_TRIAL_SUITES = {
     "coarea": _suite_coarea,
     "sobolev": _suite_sobolev,
     "kato": _suite_kato,
     "domination": _suite_domination,
-    "trace": _suite_trace,
-    "product": _suite_product,
 }
+# the verify suites, in the order `--suite all` runs and reports them; the
+# others return (their report, whether every check held)
+_SUITES = {**_TRIAL_SUITES, "trace": _suite_trace, "product": _suite_product}
 
 
 def cmd_verify(args):
     g = _load_graph(args.graph)
-    results = {}
-    ok = True
-    for name in _SUITES if args.suite == "all" else [args.suite]:
-        results[name], passed = _SUITES[name](g, args)
+    names = [*_SUITES] if args.suite == "all" else [args.suite]
+    trial_names = [name for name in names if name in _TRIAL_SUITES]
+    started, violations = {}, dict.fromkeys(trial_names, 0)
+
+    def start(name):
+        if name not in started:
+            started[name] = _TRIAL_SUITES[name](g, args)
+        return started[name]
+
+    # each block of trials is drawn once and checked by every trial suite in
+    # turn, in suite order, so one block is held at a time
+    for fs in _random_fs(args.seed, args.trials, g.n):
+        for name in trial_names:
+            count = start(name)[0]
+            if count is not None:
+                violations[name] += count(fs)
+    results, ok = {}, True
+    for name in names:
+        if name in _TRIAL_SUITES:
+            count, fields = start(name)
+            if count is not None:
+                fields = {"trials": args.trials, **fields, "violations": violations[name]}
+            results[name], passed = fields, violations[name] == 0
+        else:
+            results[name], passed = _SUITES[name](g, args)
         ok &= passed
     return results, ("OK" if ok else "VIOLATION")
 
@@ -393,6 +418,8 @@ def main(argv=None) -> int:
             raise MagnetoError("BAD_SEED", f"--seed must be >= 0, got {args.seed}")
         if getattr(args, "trials", 0) < 0:
             raise MagnetoError("BAD_TRIALS", f"--trials must be >= 0, got {args.trials}")
+        if getattr(args, "restarts", 0) < 0:
+            raise MagnetoError("BAD_RESTARTS", f"--restarts must be >= 0, got {args.restarts}")
         results, status = args.func(args)
     except MagnetoError as exc:
         results, status = {"error": exc.code, "message": exc.message}, "ERROR"

@@ -147,12 +147,6 @@ class MagneticGraph:
         ind = self.indicator(mask)
         return np.nonzero(ind[self.eu] & ind[self.ev])[0]
 
-    def components_of(self, mask: int) -> tuple:
-        """Connected components (sorted vertex tuples) of the induced subgraph,
-        in increasing order of their least vertex."""
-        comps = self.components(self.indicator(mask)[None])[1]
-        return tuple(tuple(np.flatnonzero(comp).tolist()) for comp in comps)
-
     def components(self, members: np.ndarray) -> tuple:
         """(owner, comps) of the subgraphs induced on a block of vertex sets,
         given as rows of booleans: comps[i], a row of booleans, is a component

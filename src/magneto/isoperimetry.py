@@ -2,7 +2,7 @@
 
 The constant is defined operationally as the minimum over nonempty subsets of
 (frustration + boundary) / volume^((delta-1)/delta), so balanced graphs give 0.
-The quotient at V seeds a threshold, and three array passes, the same in
+The quotient at V seeds a threshold, and four array passes, three of them in
 every mode, drop each subset one of whose lower bounds on its quotient
 exceeds it:
 
@@ -10,6 +10,10 @@ exceeds it:
 - the cycle bound (packed + boundary) / volume^e, where packed sums
   min_C w |1 - sigma(C)| over the graph's packed edge-disjoint frustrated
   cycles C that lie inside S (``frustrated_cycle_packing``);
+- in an exact search only, with the cycle bound, the complement bound
+  (iota(V) - J(V \\ S) + (1 - A_k) boundary) / volume^e, since an optimal
+  switching of S extends to V at a known expected cost
+  (``_complement_numerators``); it needs the exact iota(V);
 - the spectral bound (lambda_1(L_S) vol / 2 + boundary) / volume^e. With
   f = tau 1_S every edge term |tau(u) - s tau(v)| is at most 2, and
   |x| >= x^2 / 2 there, so frustration(S) >= lambda_1(L_S) vol(S) / 2, where
@@ -17,13 +21,19 @@ exceeds it:
 
 Each prunes only subsets whose bound strictly exceeds the threshold, so no
 tie is dropped, and a heuristic frustration is at least the true one, so
-none changes a heuristic search either. V is solved alone, for the threshold;
-the other survivors (all other subsets when profiled) are valued in one batch,
-as ``frustration_exact`` or ``frustration_heuristic`` would, keeping nothing
-per subset. The first minimizer in increasing popcount, then increasing
-bitmask value, is kept. A heuristic search reports the least of max(cycle
-bound, spectral bound) as a certified lower bound on the constant. A search
-is kept per graph and mode, past the checks it makes first.
+none changes a heuristic search either. One search serves a tuple of deltas:
+it builds the subset tables once, runs each delta's passes on its own
+threshold, computes the parts of the bounds that do not depend on delta
+(lambda_1(L_S) among them) once per subset, and values the subsets left for
+any delta in one batch. V is valued alone, for the thresholds, by value
+(``_frustration_values``) in an exact search, unless the graph keeps its
+``frustration_exact`` result, the same float; the other survivors (all other
+subsets when profiled) are valued in one batch, as ``frustration_exact`` or
+``frustration_heuristic`` would, keeping nothing per subset. The first
+minimizer in increasing popcount, then increasing bitmask value, is kept. A
+heuristic search reports the least of max(cycle bound, spectral bound) as a
+certified lower bound on the constant. A search is kept per graph, delta and
+mode, past the checks it makes first.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from .errors import MagnetoError
 from .frustration import (
     _CHUNK,
     DEFAULT_BUDGET,
+    _dist_table,
     _frustration_values,
     _heuristic_values,
     frustrated_cycle_packing,
@@ -69,7 +80,7 @@ class SearchStats:
 
     subsets: int
     pruned_boundary: int
-    pruned_cycles: int
+    pruned_cycles: int  # by the cycle bound, or in an exact search the complement bound
     pruned_spectral: int
     evaluated: int  # quotient formed: every filter survivor, or every subset when profiled
 
@@ -120,15 +131,17 @@ def _in_popcount_order(masks, pop) -> np.ndarray:
     return masks[np.argsort(pop[masks], kind="stable")]
 
 
-def _spectral_bounds(g: MagneticGraph, masks, pop, bnd, vol, exponent: float) -> np.ndarray:
-    """(max(lambda_1(L_S) - tol, 0) vol / 2 + boundary) / vol^exponent per
-    subset mask, a lower bound on its quotient.
+def _spectral_halves(g: MagneticGraph, masks, pop) -> np.ndarray:
+    """max(lambda_1(L_S) - tol, 0) / 2 per subset mask, which does not depend
+    on delta: (half vol + boundary) / vol^exponent is the spectral bound on
+    the subset's quotient.
 
     The subsets of one size |S| share batches of |S| x |S| matrices L_S, in
     blocks of at most _CHUNK // n^2 subsets: the rows and columns of S
     gathered from the strict lower triangle of the whole graph's Laplacian,
     which is all eigvalsh reads off the diagonal, with the degrees of the
-    induced subgraph on the diagonal.
+    induced subgraph on the diagonal. eigvalsh solves each matrix of a batch
+    on its own, so a subset gets the same float in any batch.
     ||L_S|| <= 2 d_mu sets tol.
     """
     n = g.n
@@ -152,17 +165,46 @@ def _spectral_bounds(g: MagneticGraph, masks, pop, bnd, vol, exponent: float) ->
             # induced degrees: the weights to neighbours inside S
             lap[:, diag, diag] = weights[sub].sum(axis=2) / g.mu[verts]
             lam[rows] = np.linalg.eigvalsh(lap)[:, 0]
-    return (0.5 * np.maximum(lam - tol, 0.0) * vol + bnd) / _scalar_powers(vol, exponent)
+    return 0.5 * np.maximum(lam - tol, 0.0)
 
 
-def _cycle_bounds(g: MagneticGraph, masks, bnd, vol, exponent: float) -> np.ndarray:
-    """(packed + boundary) / vol^exponent per subset mask, a lower bound on
-    its quotient, where packed sums the values of the graph's packed
-    frustrated cycles that lie inside the subset."""
+def _packed_sums(g: MagneticGraph, masks) -> np.ndarray:
+    """The summed values of the graph's packed frustrated cycles that lie
+    inside each subset mask, a lower bound on its frustration."""
     packed = np.zeros(len(masks))
     for cycle in frustrated_cycle_packing(g):
         packed += cycle.value * (masks & cycle.mask == cycle.mask)
-    return (packed + bnd) / _scalar_powers(vol, exponent)
+    return packed
+
+
+def _complement_numerators(g: MagneticGraph, masks, bnd, full_value: float) -> np.ndarray:
+    """iota(V) - J(U) + (1 - A_k) boundary per subset mask S, with U = V \\ S,
+    a lower bound on iota(S) + boundary(S) over S^1_k, given the exact
+    iota(V).
+
+    Extend an optimal switching of S to U by tau = 1 or by a uniform random
+    switching of U, and rotate the extension by a uniform xi^r. Then S's
+    edges cost iota(S), U's cost J(U) = min(sum w_e |1 - sigma_e|, A_k sum
+    w_e) over the edges inside U, and each crossing edge costs A_k w in
+    expectation, where A_k = mean_j |1 - xi^j| = (2/k) cot(pi / 2k). So
+    iota(V) <= iota(S) + J(U) + A_k boundary(S). Its terms nearly cancel on
+    some subsets, and iota(V), iota(S), J(U) and the boundary each sum at
+    most n + m rounded terms: the bound gives up 2 (n + m) eps times the
+    sum of its terms' magnitudes.
+    """
+    dist = _dist_table(g.group_order)
+    a = float(dist.mean())
+    free = g.full_mask() ^ masks
+    switched, total = np.zeros(len(masks)), np.zeros(len(masks))
+    for u, v, w, cost in zip(g.eu.tolist(), g.ev.tolist(), g.ew.tolist(),
+                             (g.ew * dist[g.sig]).tolist()):
+        ends = 1 << u | 1 << v
+        inside = free & ends == ends
+        switched += cost * inside
+        total += w * inside
+    inner = np.minimum(switched, a * total)
+    slack = 2 * (g.n + g.m) * np.finfo(float).eps
+    return full_value - inner + (1.0 - a) * bnd - slack * (full_value + inner + a * bnd)
 
 
 def _scalar_powers(vol, exponent: float) -> np.ndarray:
@@ -173,55 +215,102 @@ def _scalar_powers(vol, exponent: float) -> np.ndarray:
     return np.array([v ** exponent for v in vol])
 
 
-def _search(g, delta, heuristic, budget, restarts, seed, profile) -> IsoperimetricResult:
-    exponent = _volume_exponent(delta)
-    bnd, vol, pop = _subset_tables(g)
-    full_value = (frustration_heuristic(g, g.full_mask(), restarts, seed) if heuristic
-                  else frustration_exact(g, g.full_mask(), budget)).value
-    # The quotient at V (boundary 0) seeds the threshold. Three array passes
-    # over the nonempty masks, in increasing order, drop the subsets whose
-    # boundary bound, then cycle bound, then spectral bound exceeds it; its
-    # slack absorbs the bounds' rounding. A subset the boundary pass drops has
-    # a quotient above the quotient at V, so the least of max(cycle bound,
-    # spectral bound) over the boundary survivors (V among them) is a lower
-    # bound on the constant. A subset the cycle pass drops has a cycle bound
-    # above the threshold, which V's bounds do not exceed, so the spectral
-    # bound is not needed there.
-    threshold = float(full_value / vol[-1] ** exponent) * (1 + 1e-9)
-    ratio = vol[1:] ** exponent
-    np.divide(bnd[1:], ratio, out=ratio)
-    survivors = 1 + np.flatnonzero(ratio <= threshold)
-    del ratio
-    s_pop, s_bnd, s_vol = (a[survivors] for a in (pop, bnd, vol))
-    bounds = _cycle_bounds(g, survivors, s_bnd, s_vol, exponent)
-    kept = np.flatnonzero(bounds <= threshold)
-    spectral = _spectral_bounds(g, survivors[kept], s_pop[kept], s_bnd[kept], s_vol[kept], exponent)
-    bounds[kept] = np.maximum(bounds[kept], spectral)
-    left = survivors[kept[spectral <= threshold]]
-    masks = _in_popcount_order(np.arange(1, 1 << g.n) if profile else left, pop)
+def _marks(parts, size: int) -> np.ndarray:
+    """``size`` booleans, True at each mask of a list of mask arrays: the
+    union of the arrays is its flatnonzero, and the places of one array's
+    masks in an array that holds them are the flatnonzero of its marks
+    there. (np.union1d imports numpy.ma, and it and np.searchsorted run
+    code that a search touches nowhere else: about 1.1 MB and 0.3 MB of
+    peak RSS on numpy 2.4.)"""
+    seen = np.zeros(size, dtype=bool)
+    for part in parts:
+        seen[part] = True
+    return seen
 
-    # V's value is the threshold's, if V survived the filters
-    values = np.full(len(masks), full_value)
-    rest = masks != g.full_mask()
-    members = (masks[rest, None] >> np.arange(g.n)) & 1 == 1
+
+def _search(g, deltas, heuristic, budget, restarts, seed, profile) -> tuple:
+    """One result per delta of a tuple of distinct ones, from one subset
+    lattice. Each delta's passes run on its own threshold and exponent; the
+    parts of the bounds that do not depend on delta, and the subsets' values,
+    are computed once per mask, each the float a one-delta search gives."""
+    bnd, vol, pop = _subset_tables(g)
+    size, full = 1 << g.n, g.full_mask()
+    if heuristic:
+        full_value = frustration_heuristic(g, full, restarts, seed).value
+    elif ("frustration_exact", full) in g._memo:  # V's kept solve: the same float
+        full_value = frustration_exact(g, full, budget).value
+    else:
+        full_value = float(_frustration_values(g, g.indicator(full)[None], budget)[0])
+    exponents = [_volume_exponent(delta) for delta in deltas]
+    # The quotient at V (boundary 0) seeds each threshold. Its passes over the
+    # nonempty masks, in increasing order, drop the subsets whose boundary
+    # bound, then cycle bound (in an exact search, the larger of it and the
+    # complement bound), then spectral bound exceeds it; its slack absorbs
+    # the bounds' rounding. A subset the boundary pass drops has a quotient
+    # above the quotient at V, so in a heuristic search the least of
+    # max(cycle bound, spectral bound) over the boundary survivors (V among
+    # them) is a lower bound on the constant. A subset the cycle pass drops
+    # has a cycle bound above the threshold, which V's bounds do not exceed,
+    # so the spectral bound is not needed there.
+    thresholds = [float(full_value / vol[-1] ** e) * (1 + 1e-9) for e in exponents]
+    survivors = []
+    for e, threshold in zip(exponents, thresholds):
+        ratio = vol[1:] ** e
+        np.divide(bnd[1:], ratio, out=ratio)
+        survivors.append(1 + np.flatnonzero(ratio <= threshold))
+        del ratio
+    union = np.flatnonzero(_marks(survivors, size))
+    cycle = _packed_sums(g, union) + bnd[union]
+    if not heuristic:
+        complement = _complement_numerators(g, union, bnd[union], full_value)
+    powers, bounds, kept = [], [], []
+    for s, e, threshold in zip(survivors, exponents, thresholds):
+        at = np.flatnonzero(_marks([s], size)[union])
+        powers.append(_scalar_powers(vol[s], e))
+        bounds.append(cycle[at] / powers[-1])
+        if not heuristic:
+            np.maximum(bounds[-1], complement[at] / powers[-1], out=bounds[-1])
+        kept.append(np.flatnonzero(bounds[-1] <= threshold))
+    checked = np.flatnonzero(_marks([s[k] for s, k in zip(survivors, kept)], size))
+    half = _spectral_halves(g, checked, pop[checked])
+    left = []
+    for s, k, p, b, threshold in zip(survivors, kept, powers, bounds, thresholds):
+        masks = s[k]
+        at = np.flatnonzero(_marks([masks], size)[checked])
+        spectral = (half[at] * vol[masks] + bnd[masks]) / p[k]
+        b[k] = np.maximum(b[k], spectral)
+        left.append(masks[spectral <= threshold])
+
+    # one batch values the subsets left for any delta (every subset when
+    # profiled), in increasing popcount, then increasing mask, an order that
+    # each delta's own subsets keep; V's value is the threshold's
+    valued = _in_popcount_order(np.arange(1, size) if profile
+                                else np.flatnonzero(_marks(left, size)), pop)
+    values = np.full(len(valued), full_value)
+    rest = valued != full
+    members = (valued[rest, None] >> np.arange(g.n)) & 1 == 1
     values[rest] = (_heuristic_values(g, members, restarts, seed) if heuristic
                     else _frustration_values(g, members, budget))
-    quot = (values + bnd[masks]) / _scalar_powers(vol[masks], exponent)
+    del members
+    results = []
+    for delta, e, s, k, own, b in zip(deltas, exponents, survivors, kept, left, bounds):
+        at = slice(None) if profile else np.flatnonzero(_marks([own], size)[valued])
+        masks, vals = valued[at], values[at]
+        quot = (vals + bnd[masks]) / _scalar_powers(vol[masks], e)
 
-    def cut(i):
-        mask = int(masks[i])
-        return CutReport(tuple(g.mask_vertices(mask)), float(values[i]), float(bnd[mask]),
-                         float(vol[mask]), float(quot[i]))
+        def cut(i, masks=masks, vals=vals, quot=quot):
+            mask = int(masks[i])
+            return CutReport(tuple(g.mask_vertices(mask)), float(vals[i]), float(bnd[mask]),
+                             float(vol[mask]), float(quot[i]))
 
-    argmin = cut(int(np.argmin(quot)))
-    subsets = (1 << g.n) - 1
-    pruned = (0, 0, 0) if profile else (
-        subsets - len(survivors), len(survivors) - len(kept), len(kept) - len(left))
-    stats = SearchStats(subsets, *pruned, len(masks))
-    lower_bound = float(bounds.min()) if heuristic else argmin.objective
-    return IsoperimetricResult(delta, argmin.objective, argmin, lower_bound, stats,
-                               tuple(map(cut, range(len(masks)))) if profile else None,
-                               exact=not heuristic)
+        argmin = cut(int(np.argmin(quot)))
+        pruned = (0, 0, 0) if profile else (size - 1 - len(s), len(s) - len(k), len(k) - len(own))
+        stats = SearchStats(size - 1, *pruned, len(masks))
+        lower_bound = float(b.min()) if heuristic else argmin.objective
+        results.append(IsoperimetricResult(
+            delta, argmin.objective, argmin, lower_bound, stats,
+            tuple(map(cut, range(len(masks)))) if profile else None, exact=not heuristic))
+    return tuple(results)
 
 
 def cheeger_constant(
@@ -243,26 +332,42 @@ def cheeger_constant(
 
 def isoperimetric_constant(
     g: MagneticGraph,
-    delta: float,
+    delta,
     heuristic: bool = False,
     subset_limit: int = DEFAULT_SUBSET_LIMIT,
     budget: int = DEFAULT_BUDGET,
     restarts: int = 8,
     seed: int = 0,
     profile: bool = False,
-) -> IsoperimetricResult:
-    """Best constant c_delta with iota + boundary >= c_delta vol^((delta-1)/delta)."""
-    if not delta > 1.0:
-        raise MagnetoError("BAD_DELTA", f"delta must be > 1, got {delta}")
-    if g.n == 0:
-        raise MagnetoError("EMPTY_GRAPH", "no nonempty subsets")
-    limit = min(subset_limit, 59)  # numpy sizes no table of 2^n floats past n = 59
-    if g.n > limit:
-        raise MagnetoError("BUDGET_EXCEEDED", f"{g.n} vertices exceed subset limit {limit}")
-    if g.group_kind == CIRCLE and not heuristic:
-        raise MagnetoError("CONTINUOUS_GROUP", "exact search needs a cyclic group")
-    return g.memo(("search", delta, heuristic, budget, restarts, seed, profile),
-                  lambda: _search(g, delta, heuristic, budget, restarts, seed, profile))
+):
+    """Best constant c_delta with iota + boundary >= c_delta vol^((delta-1)/delta).
+
+    ``delta`` may also be a tuple of deltas: then the result is a tuple of
+    results, in its order, from one search over the subset lattice for the
+    deltas not yet kept. It gives and raises what one-delta calls in turn
+    would: the deltas before the first one that is not > 1 are searched, and
+    then that one raises BAD_DELTA.
+    """
+    deltas = delta if isinstance(delta, tuple) else (delta,)
+    bad = next((i for i, d in enumerate(deltas) if not d > 1.0), None)
+    keys = [("search", d, heuristic, budget, restarts, seed, profile) for d in deltas[:bad]]
+    if keys:
+        if g.n == 0:
+            raise MagnetoError("EMPTY_GRAPH", "no nonempty subsets")
+        limit = min(subset_limit, 59)  # numpy sizes no table of 2^n floats past n = 59
+        if g.n > limit:
+            raise MagnetoError("BUDGET_EXCEEDED", f"{g.n} vertices exceed subset limit {limit}")
+        if g.group_kind == CIRCLE and not heuristic:
+            raise MagnetoError("CONTINUOUS_GROUP", "exact search needs a cyclic group")
+        new = [key for key in dict.fromkeys(keys) if key not in g._memo]
+        if new:
+            found = _search(g, tuple(key[1] for key in new), heuristic, budget, restarts, seed,
+                            profile)
+            g._memo.update(zip(new, found))
+    if bad is not None:
+        raise MagnetoError("BAD_DELTA", f"delta must be > 1, got {deltas[bad]}")
+    results = tuple(g._memo[key] for key in keys)
+    return results if isinstance(delta, tuple) else results[0]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Depth-first oracle for ``MagneticGraph.components``.
 
-``dfs_components`` is ``components_of`` as it was before the batched finder:
-a depth-first search along the adjacency lists from each vertex of the set,
-in increasing order, that no earlier component holds.
+``dfs_components`` is the components of one mask as they were found before
+the batched finder: a depth-first search along the adjacency lists from each
+vertex of the set, in increasing order, that no earlier component holds.
 """
 
 

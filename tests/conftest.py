@@ -130,6 +130,14 @@ def random_unbalanced_graph(rng, n_max=7, k_max=4):
             return g
 
 
+def components_of(g, mask):
+    """Connected components (sorted vertex tuples) of the subgraph induced on
+    ``mask``, in increasing order of their least vertex, from
+    ``MagneticGraph.components``."""
+    comps = g.components(g.indicator(mask)[None])[1]
+    return tuple(tuple(np.flatnonzero(comp).tolist()) for comp in comps)
+
+
 def random_vertex_function(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 

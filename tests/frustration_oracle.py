@@ -17,6 +17,8 @@ import itertools
 
 import numpy as np
 
+from conftest import components_of
+
 CHUNK = 1 << 15
 
 
@@ -32,7 +34,7 @@ def enumerate_frustration(g, mask):
     j = np.arange(k)
     dist = 2.0 * np.sin(np.pi * np.minimum(j, k - j) / k)
     total, evaluations, assignment = 0.0, 0, {}
-    for comp in g.components_of(mask):
+    for comp in components_of(g, mask):
         edges = _local_edges(g, comp, mask)
         m = len(comp)
         if m == 1 or not edges or k == 1:
@@ -68,7 +70,7 @@ def lex_first_min_count(g, mask):
     component pinned to 0."""
     k = g.group_order
     count, assignment = 0, {}
-    for comp in g.components_of(mask):
+    for comp in components_of(g, mask):
         edges = _local_edges(g, comp, mask)
         best = None
         for free in itertools.product(range(k), repeat=len(comp) - 1):

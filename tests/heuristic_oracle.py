@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from balance_oracle import dfs_balance
+from conftest import components_of
 from frustration_oracle import _local_edges
 from magneto import build_graph
 from magneto.groups import TWO_PI
@@ -130,7 +131,7 @@ def heuristic_frustration(g, mask, restarts, seed):
     """(value, {vertex: exponent or angle in [0, 2pi)}) of the heuristic on a subset."""
     rng = np.random.default_rng(seed)
     total, assignment = 0.0, {}
-    for comp in g.components_of(mask):
+    for comp in components_of(g, mask):
         edges = _local_edges(g, comp, mask)
         if len(comp) == 1 or not edges:
             assignment[comp[0]] = 0

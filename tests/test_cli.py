@@ -290,18 +290,32 @@ def test_sobolev_suite_at_infinite_delta(tmp_path, capsys):
     (["frustration", "{path}", "--heuristic", "--seed=-1"], "BAD_SEED"),
     (["verify", "{path}", "--suite", "kato", "--seed=-1"], "BAD_SEED"),
     (["verify", "{path}", "--suite", "coarea", "--trials", "-5"], "BAD_TRIALS"),
+    (["cheeger", "{path}", "--heuristic", "--restarts", "-3"], "BAD_RESTARTS"),
+    (["frustration", "{path}", "--heuristic", "--restarts", "-5"], "BAD_RESTARTS"),
     (["cheeger", "{path}", "--junk"], "USAGE"),
     (["oracle", "cycle", "--n", "four", "--k", "3", "--j", "1"], "USAGE"),
     ([], "USAGE"),
 ], ids=["trace_infinite_delta", "subset_not_hex", "oracle_empty_cycle", "oracle_delta_one",
         "heat_nan_time", "frustration_negative_seed", "verify_negative_seed",
-        "verify_negative_trials", "unknown_flag", "non_integer_n", "no_command"])
+        "verify_negative_trials", "cheeger_negative_restarts",
+        "frustration_negative_restarts", "unknown_flag", "non_integer_n", "no_command"])
 def test_bad_arguments_are_errors(tmp_path, capsys, argv, error):
     path = write_graph(tmp_path, cycle_graph(5, 3, 1))
     code, rep, _ = run(capsys, [a.format(path=path) for a in argv])
     assert code == 1
     assert rep["status"] == "ERROR"
     assert rep["results"]["error"] == error
+
+
+def test_zero_restarts_are_one_start(tmp_path, capsys):
+    # --restarts 0 is valid: the all-zero start alone, as --restarts 1
+    path = write_graph(tmp_path, cycle_graph(5, 3, 1))
+    reports = []
+    for restarts in ("0", "1"):
+        code, rep, _ = run(capsys, ["cheeger", path, "--heuristic", "--restarts", restarts])
+        assert code == 0, rep
+        reports.append(rep["results"])
+    assert reports[0] == reports[1]
 
 
 def test_help_exits_zero(capsys):

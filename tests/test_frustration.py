@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import magneto.frustration
 from conftest import (
     circle_cycle,
+    components_of,
     cycle_graph,
     k2_graph,
     k3k4_union,
@@ -247,7 +248,7 @@ def test_values_of_all_subsets_in_one_call_match_frustration_exact(g):
 
 def test_the_empty_set_has_no_components_and_costs_nothing():
     for g in (cycle_graph(4, 3, 1), build_graph(0, [])):
-        assert g.components_of(0) == ()
+        assert components_of(g, 0) == ()
         res = frustration_exact(g, 0)
         assert (res.value, res.evaluations, res.minimizer.tolist()) == (0.0, 0, [0] * g.n)
     owner, comps = build_graph(0, []).components(np.zeros((2, 0), dtype=bool))
@@ -403,7 +404,7 @@ def test_exact_ties_go_to_the_lexicographically_first_minimizer(seed):
     for base in _unit_cases():
         for g in (base, relabelled(base, rng.permutation(base.n).tolist())):
             mask = g.full_mask()
-            comps = np.array([g.indicator(comp) for comp in g.components_of(mask)])
+            comps = np.array([g.indicator(comp) for comp in components_of(g, mask)])
             res = magneto.frustration._solve_exact(g, comps)
             count, assignment = lex_first_min_count(g, mask)
             assert {u: int(res.minimizer[u]) for u in assignment} == assignment

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from balance_oracle import dfs_balance
 from components_oracle import dfs_components
-from conftest import circle_cycle, cycle_graph, k2_graph, random_graph
+from conftest import circle_cycle, components_of, cycle_graph, k2_graph, random_graph
 from magneto import (
     GroupElement,
     MagnetoError,
@@ -244,7 +244,7 @@ def test_components_match_the_dfs_oracle(case):
     for r, comp in zip(owner.tolist(), comps):
         found[r].append(tuple(np.flatnonzero(comp).tolist()))
     assert [tuple(c) for c in found] == [dfs_components(g, m) for m in masks]
-    assert [g.components_of(m) for m in masks] == [dfs_components(g, m) for m in masks]
+    assert [components_of(g, m) for m in masks] == [dfs_components(g, m) for m in masks]
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,7 +299,7 @@ def test_balance_matches_the_dfs_oracle(g):
         # a closed walk of distinct edges (cycle_signature checks it) that is frustrated
         assert not g.cycle_signature(found).is_identity()
         return
-    roots = [comp[0] for comp in g.components_of(g.full_mask())]
+    roots = [comp[0] for comp in components_of(g, g.full_mask())]
     assert found.shape == (g.n,) and found[roots].tolist() == [0] * len(roots)
     if g.group_kind == "cyclic":
         assert found.dtype == np.int64

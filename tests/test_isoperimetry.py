@@ -96,14 +96,14 @@ def test_profile_covers_every_nonempty_subset():
 
 
 @st.composite
-def search_graphs(draw, n_max):
-    """(graph, balance) on 2..n_max vertices with k in 2..5: edges of any
+def search_graphs(draw, n_max, k_min=2, k_max=5):
+    """(graph, balance) on 2..n_max vertices with k in k_min..k_max: edges of any
     density, mostly over a random spanning tree. Weights and measures are all
     1 (many exact ties), uniform on [0.5, 2], or log-uniform on [1e-3, 1e3].
     ``balance`` is "none" for random signatures, "trivial" for the trivial
     signature, and "gauged" for the trivial signature switched by a random
     gauge, which need not be trivial."""
-    k = draw(st.integers(2, 5))
+    k = draw(st.integers(k_min, k_max))
     n = draw(st.sampled_from(range(2, n_max + 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
@@ -242,10 +242,10 @@ def induced_lambda_1(g, mask):
 @given(case=search_graphs(8))
 def test_spectral_bound_lies_below_frustration(case):
     # iota(S) >= lambda_1(L_S) vol(S) / 2 on every subset S; the search's
-    # bound, with boundary 0 and exponent 1, is (lambda_1 - tol) / 2 or 0
+    # bound, with boundary 0, is max(lambda_1 - tol, 0) / 2 times vol^(1 - e)
     g, _ = case
     masks, _, vol, pop = nonempty_tables(g)
-    half = magneto.isoperimetry._spectral_bounds(g, masks, pop, np.zeros(len(masks)), vol, 1.0)
+    half = magneto.isoperimetry._spectral_halves(g, masks, pop)
     d_mu = g.max_mu_degree()
     for mask, h, v in zip(masks.tolist(), half, vol):
         iota = enumerate_frustration(g, mask)[0]
@@ -255,7 +255,11 @@ def test_spectral_bound_lies_below_frustration(case):
         assert 0.5 * lam - 1e-12 * d_mu <= h <= max(0.5 * lam, 0.0)
 
 
-def no_spectral_bound(g, masks, pop, bnd, vol, exponent):
+def no_spectral_bound(g, masks, pop):
+    return np.full(len(masks), -np.inf)
+
+
+def no_complement_bound(g, masks, bnd, full_value):
     return np.full(len(masks), -np.inf)
 
 
@@ -278,7 +282,7 @@ def test_spectral_filter_keeps_the_torus_search():
     g, kw = torus()
     with no_cycles():
         fast = cheeger_constant(g, **kw)
-        with mock.patch.object(magneto.isoperimetry, "_spectral_bounds", no_spectral_bound):
+        with mock.patch.object(magneto.isoperimetry, "_spectral_halves", no_spectral_bound):
             slow = cheeger_constant(torus()[0], **kw)
     assert (fast.stats.pruned_spectral, slow.stats.pruned_spectral) == (120, 0)
     assert fast.constant == slow.constant
@@ -308,9 +312,11 @@ def test_spectral_filter_keeps_the_c3c3k2_search(c3c3k2_searches, heuristic, del
 
 def test_spectral_filter_prunes_most_c3c3k2_subsets(c3c3k2_searches):
     # 7,578 subsets pass the boundary test; solving each was the old cost.
-    # Without the cycle filter, the spectral one drops most of them
+    # Without the cycle and complement filters, the spectral one drops most
+    # of them
     g = c3c3k2()
-    with no_cycles():
+    with no_cycles(), mock.patch.object(magneto.isoperimetry, "_complement_numerators",
+                                        no_complement_bound):
         res = cheeger_constant(g, subset_limit=18)
     assert res.constant == c3c3k2_searches[(False, math.inf)].constant
     stats = res.stats
@@ -354,27 +360,60 @@ def _counted_solves(monkeypatch):
     return solves
 
 
+def _counted_values(monkeypatch):
+    """The sets, as lists of boolean rows, of each call the search makes to
+    ``_frustration_values`` from now on."""
+    calls = []
+    values = magneto.isoperimetry._frustration_values
+
+    def counted(graph, members, budget):
+        calls.append(members.tolist())
+        return values(graph, members, budget)
+
+    monkeypatch.setattr(magneto.isoperimetry, "_frustration_values", counted)
+    return calls
+
+
 def test_an_exact_search_solves_only_v_on_its_own(monkeypatch):
-    # the survivors get their values from one batch; only V, for the
-    # threshold, is solved on its own, once
+    # V alone is valued first, for the threshold, by value: no minimizer is
+    # decoded and none is kept; the survivors get their values from one batch
     graphs = verify_all_inputs(monkeypatch) + [cycle_graph(8, 3, 1), k4_union(triangle=True)]
     solves = _counted_solves(monkeypatch)
+    calls = _counted_values(monkeypatch)
     for g in graphs:
         for delta in (math.inf, 3.0, 1.5):
-            solves.clear()
-            isoperimetric_constant(graph_from_json(g.to_json()), delta)
-            assert solves == {g.full_mask(): 1}
+            calls.clear()
+            fresh = graph_from_json(g.to_json())
+            isoperimetric_constant(fresh, delta)
+            assert not solves
+            assert calls[0] == [[True] * g.n]
+            assert len(calls) <= 2 and all([True] * g.n not in rows for rows in calls[1:])
+            assert all(key[0] != "frustration_exact" for key in fresh._memo)
+
+
+def test_an_exact_search_takes_v_from_its_kept_solve(monkeypatch):
+    # after frustration_exact(V), a search values only its other subsets
+    g = k4_union(triangle=True)
+    fresh = isoperimetric_constant(graph_from_json(g.to_json()), (math.inf, 3.0), profile=True)
+    frustration_exact(g, g.full_mask())
+    calls = _counted_values(monkeypatch)
+    assert isoperimetric_constant(g, (math.inf, 3.0), profile=True) == fresh
+    assert len(calls) == 1 and [True] * g.n not in calls[0]
 
 
 def test_a_profiled_exact_search_solves_only_v_and_keeps_no_subset(monkeypatch):
-    # every subset is valued in the batch, which keeps nothing in the memo
+    # V is valued alone, for the threshold, and every other subset in the
+    # batch; neither decodes a minimizer or keeps anything in the memo
     g = k4_union(triangle=True)
     solves = _counted_solves(monkeypatch)
+    calls = _counted_values(monkeypatch)
     res = cheeger_constant(g, profile=True)
     assert len(res.profile) == 2**g.n - 1
-    assert solves == {g.full_mask(): 1}
+    assert not solves
+    assert calls[0] == [[True] * g.n]
+    assert len(calls) == 2 and len(calls[1]) == 2**g.n - 2
     kept = [key for key in g._memo if key[0] in ("frustration_exact", "frustration_heuristic")]
-    assert kept == [("frustration_exact", g.full_mask())]
+    assert kept == []
 
 
 def heuristic_search_cases():
@@ -433,6 +472,79 @@ def test_cycle_filter_solves_only_v_on_the_torus():
     assert slow.lower_bound < fast.lower_bound
 
 
+def light_and_heavy_triangles():
+    """Two disjoint frustrated triangles at k = 3, of weights 0.3 and about
+    1e3. On the light one S, iota(V) - J(V \\ S) is iota(S) in exact
+    arithmetic, and as floats it comes out above it."""
+    one, xi = GroupElement.cyclic(0, 3), GroupElement.cyclic(1, 3)
+    return build_graph(6, [(0, 1, 0.3, one), (1, 2, 0.3, one), (0, 2, 0.3, xi),
+                           (3, 4, 1e3, one), (4, 5, 1e3, one), (3, 5, 999.0, xi)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=search_graphs(8, 1, 6))
+@example(case=(light_and_heavy_triangles(), "none"))
+@example(case=(c4_minus(), "none"))
+@example(case=(k4_union(triangle=True), "none"))
+def test_complement_bound_lies_below_every_quotient(case):
+    # iota(V) <= iota(S) + J(V \ S) + A_k boundary(S) on every subset S, so
+    # the complement bound never exceeds the quotient, rounding included;
+    # at V it is the quotient, up to the rounding it gives up
+    g, _ = case
+    masks, bnd, vol, _ = nonempty_tables(g)
+    iota = np.array([enumerate_frustration(g, mask)[0] for mask in masks.tolist()])
+    numerators = magneto.isoperimetry._complement_numerators(g, masks, bnd, iota[-1])
+    for delta in (math.inf, 3.0, 1.5):
+        powers = magneto.isoperimetry._scalar_powers(vol, magneto.isoperimetry._volume_exponent(
+            delta))
+        quotients = (iota + bnd) / powers
+        assert np.all(numerators / powers <= quotients)
+        assert numerators[-1] / powers[-1] == pytest.approx(quotients[-1], rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=search_graphs(7),
+       deltas=st.sampled_from([(math.inf, 3.0), (3.0, math.inf, 1.5), (2.5, 2.5, 1.2)]))
+@example(case=(k3k4_union(), "none"), deltas=(math.inf, 3.0))
+def test_a_tuple_of_deltas_gives_the_one_delta_searches(case, deltas):
+    # one lattice for every delta, and each result == a fresh graph's
+    # one-delta search, kept under its one-delta key
+    g, _ = case
+    modes = [{}, {"profile": True}, {"heuristic": True, "restarts": 2, "seed": 1},
+             {"heuristic": True, "restarts": 2, "seed": 1, "profile": True}]
+    for kw in modes:
+        together = isoperimetric_constant(g, deltas, **kw)
+        assert len(together) == len(deltas)
+        for delta, res in zip(deltas, together):
+            assert res == isoperimetric_constant(graph_from_json(g.to_json()), delta, **kw)
+            assert isoperimetric_constant(g, delta, **kw) is res
+
+
+def test_a_tuple_of_deltas_on_the_circle_gives_the_one_delta_searches():
+    g = circle_union(np.random.default_rng(23))
+    kw = {"heuristic": True, "restarts": 2, "seed": 1}
+    together = isoperimetric_constant(g, (math.inf, 3.0), **kw)
+    for delta, res in zip((math.inf, 3.0), together):
+        assert res == isoperimetric_constant(graph_from_json(g.to_json()), delta, **kw)
+
+
+def test_a_tuple_of_deltas_raises_what_one_delta_calls_in_turn_raise():
+    # the deltas before a bad one are searched first, so their errors come
+    # first, and their results are kept
+    g = random_graph(np.random.default_rng(18), 7, 3)
+    for deltas, budget, code in (((math.inf, 0.5), 3**5, "BUDGET_EXCEEDED"),
+                                 ((math.inf, 0.5), 3**6, "BAD_DELTA"),
+                                 ((0.5, math.inf), 3**5, "BAD_DELTA"),
+                                 ((math.inf, math.nan), 3**6, "BAD_DELTA")):
+        fresh = graph_from_json(g.to_json())
+        with pytest.raises(MagnetoError) as err:
+            isoperimetric_constant(fresh, deltas, budget=budget)
+        assert err.value.code == code
+        kept = code == "BAD_DELTA" and deltas[0] == math.inf
+        assert (("search", math.inf, False, budget, 8, 0, False) in fresh._memo) is kept
+    assert isoperimetric_constant(g, ()) == ()
+
+
 def packed_bound(packing, mask):
     return sum(c.value for c in packing if mask & c.mask == c.mask)
 
@@ -445,8 +557,8 @@ def test_cycle_bound_lies_below_frustration(case):
     g, _ = case
     packing = magneto.isoperimetry.frustrated_cycle_packing(g)
     assert (not packing) == g.is_balanced()[0]
-    masks, _, vol, _ = nonempty_tables(g)
-    bound = magneto.isoperimetry._cycle_bounds(g, masks, np.zeros(len(masks)), vol, 1.0) * vol
+    masks = nonempty_tables(g)[0]
+    bound = magneto.isoperimetry._packed_sums(g, masks)
     for mask, b in zip(masks.tolist(), bound):
         iota = enumerate_frustration(g, mask)[0]
         assert b == pytest.approx(packed_bound(packing, mask), rel=1e-15, abs=0.0)

@@ -8,6 +8,7 @@ call, and heat kernels are not kept: the heat-kernel and domination checks
 take all of their kernels from one solve of each Laplacian."""
 
 import io
+import json
 import math
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,7 +21,7 @@ import magneto.frustration
 import magneto.functional
 import magneto.isoperimetry
 import magneto.spectral
-from conftest import random_graph, random_unbalanced_graph
+from conftest import components_of, random_graph, random_unbalanced_graph
 from magneto import (
     MagnetoError,
     cheeger_constant,
@@ -39,22 +40,62 @@ from magneto.graph import MagneticGraph
 
 
 def test_verify_all_solves_each_subset_once(tmp_path, monkeypatch):
+    # by value only: V once, for the searches' thresholds, and every other
+    # subset at most once; no minimizer is decoded, and none is kept
     g = random_graph(np.random.default_rng(11), 10, 3)
     path = tmp_path / "g.json"
     path.write_text(g.to_json())
-    solves = Counter()
-    solve = magneto.frustration._solve_exact
+    solves, valued, loaded = [], Counter(), []
+    solve, values = magneto.frustration._solve_exact, magneto.frustration._frustration_values
+    load = magneto.cli._load_graph
 
-    def counted(graph, comps):
-        solves[graph.as_mask(np.flatnonzero(comps.any(axis=0)))] += 1
-        return solve(graph, comps)
+    def counted_values(graph, members, budget):
+        valued.update(graph.as_mask(np.flatnonzero(row)) for row in members)
+        return values(graph, members, budget)
 
-    monkeypatch.setattr(magneto.frustration, "_solve_exact", counted)
+    monkeypatch.setattr(magneto.frustration, "_solve_exact", lambda *a: solves.append(a))
+    for module in (magneto.frustration, magneto.functional, magneto.isoperimetry):
+        monkeypatch.setattr(module, "_frustration_values", counted_values)
+    monkeypatch.setattr(magneto.cli, "_load_graph", lambda p: loaded.append(load(p)) or loaded[-1])
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["verify", str(path), "--suite", "all", "--trials", "5"])
     assert code == 0
-    assert solves[g.full_mask()] == 1
-    assert max(solves.values()) == 1
+    assert not solves
+    assert valued[g.full_mask()] == 1
+    assert max(valued.values()) == 1
+    assert all(key[0] != "frustration_exact" for key in loaded[0]._memo)
+
+
+def test_verify_all_draws_each_block_of_trials_once(tmp_path, monkeypatch):
+    # 13,107 trials at n = 10 are 3 blocks of at most 2^16 entries; each is
+    # drawn once and checked by every trial suite, which report what they
+    # report when each draws its own
+    g = random_graph(np.random.default_rng(11), 10, 3)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    argv = ["verify", str(path), "--trials", "13107", "--seed", "4", "--suite"]
+    draws, blocks = [], []
+    random_fs = magneto.cli._random_fs
+
+    def counted(*args):
+        draws.append(args)
+        for fs in random_fs(*args):
+            blocks.append(fs.shape)
+            yield fs
+
+    monkeypatch.setattr(magneto.cli, "_random_fs", counted)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(argv + ["all"]) == 0
+    assert draws == [(4, 13107, 10)]
+    assert blocks == [(6553, 10), (6553, 10), (1, 10)]
+    results = json.loads(out.getvalue())["results"]
+    assert "h" in results["sobolev"]  # not skipped as balanced
+    for name in ("coarea", "sobolev", "kato", "domination"):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert main(argv + [name]) == 0
+        assert json.loads(out.getvalue())["results"] == {name: results[name]}
 
 
 def test_coarea_suite_solves_and_keeps_nothing(tmp_path, monkeypatch):
@@ -153,7 +194,7 @@ def test_memo_keeps_the_budget_check():
     # V of the connected graph is one component, so its gauge-fixed space is
     # 3^(n-1), and a memo hit still checks it against the budget
     g = random_graph(np.random.default_rng(2), 6, 3)
-    assert g.components_of(g.full_mask()) == (tuple(range(g.n)),)
+    assert components_of(g, g.full_mask()) == (tuple(range(g.n)),)
     first = frustration_exact(g, g.full_mask())
     for budget in (1, 3 ** (g.n - 1) - 1):
         with pytest.raises(MagnetoError) as err:
@@ -163,8 +204,9 @@ def test_memo_keeps_the_budget_check():
 
 
 def test_verify_all_runs_one_search_per_delta(tmp_path, monkeypatch):
-    # the Sobolev suite's h and c_3, the trace suite's c_3 and the product
-    # suite's two h: two distinct searches, each building its tables once
+    # the Sobolev suite's h and c_3 come from one search, whose tables are
+    # built once; the trace suite's c_3 and the product suite's two h are
+    # its kept results
     g = random_unbalanced_graph(np.random.default_rng(16), 9, 3)
     path = tmp_path / "g.json"
     path.write_text(g.to_json())
@@ -179,7 +221,7 @@ def test_verify_all_runs_one_search_per_delta(tmp_path, monkeypatch):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["verify", str(path), "--suite", "all", "--trials", "5"])
     assert code == 0
-    assert len(tables) == 2 and tables[0] is tables[1]
+    assert len(tables) == 1
 
 
 def test_a_repeated_search_returns_the_kept_result():
