@@ -2,9 +2,10 @@
 
 The constant is defined operationally as the minimum over nonempty subsets of
 (frustration + boundary) / volume^((delta-1)/delta), so balanced graphs give 0.
-The quotient at V seeds a threshold, and four array passes, three of them in
-every mode, drop each subset one of whose lower bounds on its quotient
-exceeds it:
+The quotient at V seeds a threshold, and three array passes drop each subset
+one of whose lower bounds on its quotient exceeds it. There are four bounds,
+three of them in every mode; the exact searches' own shares the cycle
+bound's pass:
 
 - the boundary bound boundary / volume^e, since frustration is nonnegative;
 - the cycle bound (packed + boundary) / volume^e, where packed sums
