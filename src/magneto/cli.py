@@ -216,7 +216,7 @@ def _suite_coarea(g, args):
 
 def _suite_sobolev(g, args):
     delta = args.delta
-    h, c_delta = (res.constant for res in isoperimetry.isoperimetric_constant(
+    h, c_delta = (res.constant for res in isoperimetry._constants(
         g, (math.inf, delta), budget=_budget()))
     if h <= 0:
         return None, {"skipped": "balanced graph (h = 0)"}
@@ -297,7 +297,7 @@ def cmd_verify(args):
 
     # each block of trials is drawn once and checked by every trial suite in
     # turn, in suite order, so one block is held at a time
-    for fs in _random_fs(args.seed, args.trials, g.n):
+    for fs in _random_fs(args.seed, args.trials, g.n) if trial_names else ():
         for name in trial_names:
             count = start(name)[0]
             if count is not None:

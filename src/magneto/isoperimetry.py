@@ -20,19 +20,20 @@ bound's pass:
   |x| >= x^2 / 2 there, so frustration(S) >= lambda_1(L_S) vol(S) / 2, where
   L_S is the mu-normalised magnetic Laplacian of the subgraph induced on S.
 
-Each prunes only subsets whose bound strictly exceeds the threshold, so no
-tie is dropped, and a heuristic frustration is at least the true one, so
-none changes a heuristic search either. One search serves a tuple of deltas:
-it builds the subset tables once, runs each delta's passes on its own
-threshold, computes the parts of the bounds that do not depend on delta
-(lambda_1(L_S) among them) once per subset, and values the subsets left for
-any delta in one batch. V is valued alone, for the thresholds, by value
-(``_frustration_values``) in an exact search, unless the graph keeps its
-``frustration_exact`` result, the same float; the other survivors (all other
-subsets when profiled) are valued in one batch, as ``frustration_exact`` or
-``frustration_heuristic`` would, keeping nothing per subset. The first
-minimizer in increasing popcount, then increasing bitmask value, is kept. A
-heuristic search reports the least of max(cycle bound, spectral bound) as a
+Each prunes only subsets whose bound strictly exceeds the threshold, so no tie
+is dropped, and a heuristic frustration is at least the true one, so none
+changes a heuristic search either. One search serves a tuple of deltas: it
+builds the subset tables once, runs each delta's passes on its own threshold,
+computes the parts of the bounds that do not depend on delta (lambda_1(L_S)
+among them) once per subset, and values the subsets left for any delta in one
+batch. V is valued alone, for the thresholds, by value
+(``_frustration_values``, the float ``frustration_exact`` gives) in an exact
+search, unless the graph keeps V's ``frustration_exact`` result; the other
+survivors (all other subsets when profiled) are valued in
+one batch, as ``frustration_exact`` or ``frustration_heuristic`` would,
+keeping nothing per subset. The first minimizer in increasing popcount, then
+increasing bitmask value, is kept. A heuristic search reports the least of
+max(cycle bound, spectral bound), at most the constant it finds, as a
 certified lower bound on the constant. A search is kept per graph, delta and
 mode, past the checks it makes first.
 """
@@ -307,7 +308,9 @@ def _search(g, deltas, heuristic, budget, restarts, seed, profile) -> tuple:
         argmin = cut(int(np.argmin(quot)))
         pruned = (0, 0, 0) if profile else (size - 1 - len(s), len(s) - len(k), len(k) - len(own))
         stats = SearchStats(size - 1, *pruned, len(masks))
-        lower_bound = float(b.min()) if heuristic else argmin.objective
+        # a bound equal to the minimal quotient in exact arithmetic can round
+        # above it, so a heuristic lower bound is capped at the constant found
+        lower_bound = min(float(b.min()), argmin.objective) if heuristic else argmin.objective
         results.append(IsoperimetricResult(
             delta, argmin.objective, argmin, lower_bound, stats,
             tuple(map(cut, range(len(masks)))) if profile else None, exact=not heuristic))
@@ -333,23 +336,34 @@ def cheeger_constant(
 
 def isoperimetric_constant(
     g: MagneticGraph,
-    delta,
+    delta: float,
     heuristic: bool = False,
     subset_limit: int = DEFAULT_SUBSET_LIMIT,
     budget: int = DEFAULT_BUDGET,
     restarts: int = 8,
     seed: int = 0,
     profile: bool = False,
-):
-    """Best constant c_delta with iota + boundary >= c_delta vol^((delta-1)/delta).
+) -> IsoperimetricResult:
+    """Best constant c_delta with iota + boundary >= c_delta vol^((delta-1)/delta)."""
+    return _constants(g, (delta,), heuristic, subset_limit, budget, restarts, seed, profile)[0]
 
-    ``delta`` may also be a tuple of deltas: then the result is a tuple of
-    results, in its order, from one search over the subset lattice for the
-    deltas not yet kept. It gives and raises what one-delta calls in turn
-    would: the deltas before the first one that is not > 1 are searched, and
-    then that one raises BAD_DELTA.
+
+def _constants(
+    g: MagneticGraph,
+    deltas: tuple,
+    heuristic: bool = False,
+    subset_limit: int = DEFAULT_SUBSET_LIMIT,
+    budget: int = DEFAULT_BUDGET,
+    restarts: int = 8,
+    seed: int = 0,
+    profile: bool = False,
+) -> tuple:
+    """``isoperimetric_constant`` for each of a tuple of deltas, in its order,
+    from one search over the subset lattice for the deltas not yet kept. It
+    gives and raises what one-delta calls in turn would: the deltas before
+    the first one that is not > 1 are searched, and then that one raises
+    BAD_DELTA. Each result is kept under its one-delta key.
     """
-    deltas = delta if isinstance(delta, tuple) else (delta,)
     bad = next((i for i, d in enumerate(deltas) if not d > 1.0), None)
     keys = [("search", d, heuristic, budget, restarts, seed, profile) for d in deltas[:bad]]
     if keys:
@@ -367,8 +381,7 @@ def isoperimetric_constant(
             g._memo.update(zip(new, found))
     if bad is not None:
         raise MagnetoError("BAD_DELTA", f"delta must be > 1, got {deltas[bad]}")
-    results = tuple(g._memo[key] for key in keys)
-    return results if isinstance(delta, tuple) else results[0]
+    return tuple(g._memo[key] for key in keys)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from magneto import (
     torus_cheeger_bounds,
     verify_product_additivity,
 )
+from magneto.isoperimetry import _constants
 
 
 def c4_minus():
@@ -145,12 +146,23 @@ SINGLETON_TIE = graph_from_json(
     '1.1025767582615116, 1.0922197076340874, 0.026131525907200956]}')
 
 
+def tightly_packed_k6():
+    """K6 at k = 5 whose four packed triangles sum to iota(V), so the cycle
+    bound at V is the constant in exact arithmetic; as floats the packed sum
+    comes out an ulp above iota(V)."""
+    edges = [(0, 1, 0), (0, 2, 4), (0, 3, 2), (0, 4, 2), (0, 5, 1), (1, 2, 0), (1, 3, 3),
+             (1, 4, 3), (1, 5, 0), (2, 3, 3), (2, 4, 1), (2, 5, 2), (3, 4, 0), (3, 5, 4),
+             (4, 5, 3)]
+    return build_graph(6, [(u, v, 1.0, GroupElement.cyclic(j, 5)) for u, v, j in edges])
+
+
 @settings(max_examples=50, deadline=None)
 @given(case=search_graphs(7))
 @example(case=(random_graph(np.random.default_rng(29), 6, 3, force_trivial_signature=True),
                "trivial"))
 @example(case=(SINGLETON_TIE, "none"))
 @example(case=(k4_union(), "none"))
+@example(case=(tightly_packed_k6(), "none"))
 def test_pruned_and_profiled_runs_agree(case):
     # a profiled search prunes nothing; on a balanced graph the exact
     # threshold is 0, and so is the heuristic one on the trivial signature,
@@ -394,10 +406,10 @@ def test_an_exact_search_solves_only_v_on_its_own(monkeypatch):
 def test_an_exact_search_takes_v_from_its_kept_solve(monkeypatch):
     # after frustration_exact(V), a search values only its other subsets
     g = k4_union(triangle=True)
-    fresh = isoperimetric_constant(graph_from_json(g.to_json()), (math.inf, 3.0), profile=True)
+    fresh = _constants(graph_from_json(g.to_json()), (math.inf, 3.0), profile=True)
     frustration_exact(g, g.full_mask())
     calls = _counted_values(monkeypatch)
-    assert isoperimetric_constant(g, (math.inf, 3.0), profile=True) == fresh
+    assert _constants(g, (math.inf, 3.0), profile=True) == fresh
     assert len(calls) == 1 and [True] * g.n not in calls[0]
 
 
@@ -513,7 +525,7 @@ def test_a_tuple_of_deltas_gives_the_one_delta_searches(case, deltas):
     modes = [{}, {"profile": True}, {"heuristic": True, "restarts": 2, "seed": 1},
              {"heuristic": True, "restarts": 2, "seed": 1, "profile": True}]
     for kw in modes:
-        together = isoperimetric_constant(g, deltas, **kw)
+        together = _constants(g, deltas, **kw)
         assert len(together) == len(deltas)
         for delta, res in zip(deltas, together):
             assert res == isoperimetric_constant(graph_from_json(g.to_json()), delta, **kw)
@@ -523,7 +535,7 @@ def test_a_tuple_of_deltas_gives_the_one_delta_searches(case, deltas):
 def test_a_tuple_of_deltas_on_the_circle_gives_the_one_delta_searches():
     g = circle_union(np.random.default_rng(23))
     kw = {"heuristic": True, "restarts": 2, "seed": 1}
-    together = isoperimetric_constant(g, (math.inf, 3.0), **kw)
+    together = _constants(g, (math.inf, 3.0), **kw)
     for delta, res in zip((math.inf, 3.0), together):
         assert res == isoperimetric_constant(graph_from_json(g.to_json()), delta, **kw)
 
@@ -538,11 +550,11 @@ def test_a_tuple_of_deltas_raises_what_one_delta_calls_in_turn_raise():
                                  ((math.inf, math.nan), 3**6, "BAD_DELTA")):
         fresh = graph_from_json(g.to_json())
         with pytest.raises(MagnetoError) as err:
-            isoperimetric_constant(fresh, deltas, budget=budget)
+            _constants(fresh, deltas, budget=budget)
         assert err.value.code == code
         kept = code == "BAD_DELTA" and deltas[0] == math.inf
         assert (("search", math.inf, False, budget, 8, 0, False) in fresh._memo) is kept
-    assert isoperimetric_constant(g, ()) == ()
+    assert _constants(g, ()) == ()
 
 
 def packed_bound(packing, mask):

@@ -96,6 +96,12 @@ def test_verify_all_draws_each_block_of_trials_once(tmp_path, monkeypatch):
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             assert main(argv + [name]) == 0
         assert json.loads(out.getvalue())["results"] == {name: results[name]}
+    # the suites that check no trials draw none
+    draws.clear()
+    for name in ("trace", "product"):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv + [name]) == 0
+    assert draws == []
 
 
 def test_coarea_suite_solves_and_keeps_nothing(tmp_path, monkeypatch):
