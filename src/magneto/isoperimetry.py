@@ -29,13 +29,13 @@ among them) once per subset, and values the subsets left for any delta in one
 batch. V is valued alone, for the thresholds, by value
 (``_frustration_values``, the float ``frustration_exact`` gives) in an exact
 search, unless the graph keeps V's ``frustration_exact`` result; the other
-survivors (all other subsets when profiled) are valued in
-one batch, as ``frustration_exact`` or ``frustration_heuristic`` would,
-keeping nothing per subset. The first minimizer in increasing popcount, then
-increasing bitmask value, is kept. A heuristic search reports the least of
-max(cycle bound, spectral bound), at most the constant it finds, as a
-certified lower bound on the constant. A search is kept per graph, delta and
-mode, past the checks it makes first.
+survivors (all other subsets when profiled) are valued in one batch, as
+``frustration_exact`` or ``frustration_heuristic`` would, keeping nothing per
+subset. The first minimizer in increasing popcount, then increasing bitmask
+value, is kept. A heuristic search reports the least of max(cycle bound,
+spectral bound), at most the constant it finds, as a certified lower bound on
+the constant. A search is kept per graph, delta and mode, past the checks it
+makes first.
 """
 
 from __future__ import annotations
